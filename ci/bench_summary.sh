@@ -51,7 +51,7 @@ out=$(mktemp)
   for f in "${files[@]}"; do
     tool=$(meta "$f" tool)
     mode=$(meta "$f" engine)
-    # Schema 3: the costing target joins meta (the target×engine CI
+    # Schema 3: the costing target joins meta (the per-target CI
     # matrix keeps one baseline per leg, and this table is the one place
     # the whole matrix is visible at once). compbench has no target.
     target=$(meta "$f" target)
@@ -74,8 +74,6 @@ out=$(mktemp)
     [ "$ident" = "-" ] && ident=$(field "$f" checked)
     size=$(field "$f" kernels)
     [ "$size" = "-" ] && size="$(field "$f" items) items" || size="$size kernels"
-    bail=$(field "$f" bailouts)
-    [ "$bail" != "-" ] && mode="$mode ($bail bailouts)"
     echo "| $f | $tool | $target | $mode | ${gm}x | $batch | $bs | $ident | $size |"
   done
   echo

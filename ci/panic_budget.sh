@@ -23,13 +23,12 @@ PATTERN='\.unwrap\(\)|\.expect\(|panic!\(|unreachable!\(|todo!\('
 # crate-dir budget
 BUDGETS="
 autovec 39
-bench 27
+bench 23
 core 80
-criterion_compat 0
 fuzz 20
 proptest_compat 2
 psimc 26
-psir 105
+psir 88
 rand_compat 0
 serve 82
 shapecheck 9

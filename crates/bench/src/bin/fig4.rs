@@ -34,7 +34,7 @@ const HELP: Help = Help {
         ("--profile[=json]", "print the cycle-attribution profile"),
         (
             "--engine E",
-            "interpreter engine: fast (default), reference, or native",
+            "interpreter engine: fast (default) or reference",
         ),
         (
             "--target T",
@@ -61,7 +61,7 @@ const HELP: Help = Help {
 fn usage() -> ! {
     eprintln!(
         "usage: fig4 [--tiny] [--gang-sweep] [--iters N] [--profile[=json]] \
-         [--engine fast|reference|native] [--target x86-avx512|x86-avx2|sve-vla[:VL]] \
+         [--engine fast|reference] [--target x86-avx512|x86-avx2|sve-vla[:VL]] \
          [--target-matrix] [--contract] [-j N | --jobs N]"
     );
     std::process::exit(2);

@@ -7,7 +7,7 @@
 //! requested.
 //!
 //! Usage:
-//!   cargo run --release -p psim-bench --bin fig5 `[-- --n N] [--no-shape] [--avx2] [--stride-window] [--profile[=json]] [-j N]`
+//!   cargo run --release -p psim-bench --bin fig5 `[-- --n N] [--no-shape] [--stride-window] [--target-matrix] [--profile[=json]] [-j N]`
 //!
 //! `-j N` / `--jobs N` sets the region-compilation worker count for every
 //! kernel build (default: `PSIM_JOBS` or the available parallelism);
@@ -31,12 +31,11 @@ const HELP: Help = Help {
         ("--n N", "element count (positive multiple of 256)"),
         ("--iters N", "best-of-N wall-clock measurement (default: 1)"),
         ("--no-shape", "add the shape-analysis ablation column"),
-        ("--avx2", "add the 256-bit legalization portability table"),
         ("--stride-window", "add the strided-shuffle window ablation"),
         ("--profile[=json]", "print the cycle-attribution profile"),
         (
             "--engine E",
-            "interpreter engine: fast (default), reference, or native",
+            "interpreter engine: fast (default) or reference",
         ),
         (
             "--target T",
@@ -57,8 +56,8 @@ const HELP: Help = Help {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: fig5 [--n N] [--iters N] [--no-shape] [--avx2] [--stride-window] \
-         [--profile[=json]] [--engine fast|reference|native] \
+        "usage: fig5 [--n N] [--iters N] [--no-shape] [--stride-window] \
+         [--profile[=json]] [--engine fast|reference] \
          [--target x86-avx512|x86-avx2|sve-vla[:VL]] [--target-matrix] [-j N | --jobs N]"
     );
     std::process::exit(2);
@@ -95,7 +94,6 @@ fn run() {
     let mut n = DEFAULT_N;
     let mut with_noshape = false;
     let mut iters = 1usize;
-    let mut with_avx2 = false;
     let mut with_window = false;
     let mut with_target_matrix = false;
     let mut profile_mode = ProfileMode::Off;
@@ -129,7 +127,6 @@ fn run() {
                 }
             }
             "--no-shape" => with_noshape = true,
-            "--avx2" => with_avx2 = true,
             "--stride-window" => with_window = true,
             "--engine" => {
                 i += 1;
@@ -295,9 +292,11 @@ fn run() {
 
     if with_target_matrix {
         // The target×config matrix: the *same* compiled IR priced on every
-        // modeled machine, fixed-width and scalable. Outputs are identical
-        // by construction (targets never change semantics); only cycle
-        // attribution moves. A subset of kernels keeps it quick.
+        // modeled machine, fixed-width and scalable — §4.3 portability, with
+        // no recompilation of the SPMD program, only a different back-end
+        // cost. Outputs are identical by construction (targets never change
+        // semantics); only cycle attribution moves. A subset of kernels
+        // keeps it quick.
         let targets = [
             Target::avx512(),
             Target::avx2(),
@@ -333,30 +332,6 @@ fn run() {
                 }
                 println!();
             }
-        }
-    }
-
-    if with_avx2 {
-        // §4.3 portability: the *same* gang-width vector IR legalizes onto
-        // a narrower (256-bit) machine — no recompilation of the SPMD
-        // program, only a different back-end cost. A subset keeps it quick.
-        println!("\nvector-width portability (Parsimony cycles, same IR):");
-        println!(
-            "{:<22} {:>12} {:>12} {:>8}",
-            "kernel", "avx512", "avx2", "ratio"
-        );
-        let avx512 = TargetCost::for_target(Target::avx512());
-        let avx2 = TargetCost::for_target(Target::avx2());
-        for k in ks.iter().take(8) {
-            let a = run_kernel_with(k, Config::Parsimony, &avx512).expect("runs");
-            let b = run_kernel_with(k, Config::Parsimony, &avx2).expect("runs");
-            println!(
-                "{:<22} {:>12} {:>12} {:>8.2}",
-                k.name,
-                a.cycles,
-                b.cycles,
-                b.cycles as f64 / a.cycles as f64
-            );
         }
     }
 }

@@ -67,7 +67,7 @@ const HELP: Help = Help {
         ),
         (
             "--engine E",
-            "interpreter engine for --run: fast (default), reference, or native",
+            "interpreter engine for --run: fast (default) or reference",
         ),
         (
             "--target T",
@@ -87,7 +87,7 @@ fn usage() -> ! {
         "usage: psimcc FILE [--emit scalar|vector] [--gang-sync] [--no-shape] \
          [--boscc] [--remarks text|json] [--verify off|fallback|strict] \
          [--inject-fault PASS:SITE] [-j N | --jobs N] \
-         [--engine fast|reference|native] [--target x86-avx512|x86-avx2|sve-vla[:VL]] \
+         [--engine fast|reference] [--target x86-avx512|x86-avx2|sve-vla[:VL]] \
          [--run ENTRY [ARG…]] [--cycles]"
     );
     std::process::exit(2);

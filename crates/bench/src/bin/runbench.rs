@@ -2,22 +2,19 @@
 //! interpreter's fast engine.
 //!
 //! ```text
-//! runbench [--engine fast|native] [--n N] [--iters K] [--check]
-//!          [--min-speedup X] [--json[=FILE]]
+//! runbench [--target T] [--n N] [--iters K] [--check] [--json[=FILE]]
+//!          [--baseline FILE]
 //! ```
 //!
 //! Executes the suite kernels (the Figure 5 Simd-Library set at workload
-//! size `N`, plus the Figure 4 ispc set at tiny sizes) through the subject
-//! engine and its baseline — `fast` (the precompiled `FramePlan` path) is
-//! measured against the retained reference step loop, `native` (fused
-//! block kernels) against `fast` — and reports per-kernel best-of-`K`
-//! wall times, the geomean speedup, and whether the engines were
-//! byte-identical in simulated cycles, checked outputs, execution
-//! statistics, and profile JSON.
+//! size `N`, plus the Figure 4 ispc set at tiny sizes) through both
+//! interpreter engines — the precompiled `FramePlan` fast path and the
+//! retained reference step loop — and reports per-kernel best-of-`K` wall
+//! times, the geomean speedup, and whether the engines were byte-identical
+//! in simulated cycles, checked outputs, execution statistics, and profile
+//! JSON.
 //!
-//! * `--check` — gate mode: exit 1 unless every kernel is engine-identical
-//!   (and, when `--min-speedup X` is given, the geomean speedup is at
-//!   least X).
+//! * `--check` — gate mode: exit 1 unless every kernel is engine-identical.
 //! * `--json` — print the JSON report on stdout instead of the text
 //!   summary; `--json=FILE` writes it to FILE and keeps the text summary
 //!   on stdout (the CI artifact and `BENCH_runbench.json` baseline mode).
@@ -30,15 +27,10 @@ use telemetry::cli::Help;
 
 const HELP: Help = Help {
     bin: "runbench",
-    about: "Times the suite kernels under a subject interpreter engine and its \
-            baseline, gating on the byte-identity contract and the wall-clock \
-            speedup.",
+    about: "Times the suite kernels under the fast and reference interpreter engines, \
+            gating on their byte-identity contract.",
     usage: "[options]",
     flags: &[
-        (
-            "--engine E",
-            "engine under test: fast (vs reference; default) or native (vs fast)",
-        ),
         (
             "--target T",
             "costing machine: x86-avx512 (default), x86-avx2, or sve-vla[:VL]",
@@ -51,10 +43,6 @@ const HELP: Help = Help {
         (
             "--check",
             "gate: exit 1 unless every kernel is engine-identical",
-        ),
-        (
-            "--min-speedup X",
-            "with --check, also require geomean speedup >= X",
         ),
         ("--json[=FILE]", "emit the JSON report to stdout or FILE"),
         (
@@ -71,9 +59,8 @@ const HELP: Help = Help {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: runbench [--engine fast|native] \
-         [--target x86-avx512|x86-avx2|sve-vla[:VL]] [--n N] [--iters K] [--check] \
-         [--min-speedup X] [--json[=FILE]] [--baseline FILE]"
+        "usage: runbench [--target x86-avx512|x86-avx2|sve-vla[:VL]] [--n N] [--iters K] \
+         [--check] [--json[=FILE]] [--baseline FILE]"
     );
     std::process::exit(2);
 }
@@ -85,34 +72,12 @@ fn main() {
     }
     let mut cfg = RunBenchConfig::default();
     let mut check = false;
-    let mut min_speedup: Option<f64> = None;
     let mut json_out: Option<Option<String>> = None;
     let mut baseline: Option<String> = None;
 
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--engine" => {
-                i += 1;
-                let Some(v) = args.get(i) else { usage() };
-                match psir::Engine::from_flag(v) {
-                    Some(e) if e != psir::Engine::Reference => cfg.engine = e,
-                    Some(_) => {
-                        eprintln!(
-                            "runbench: the reference engine is the baseline; \
-                             --engine takes fast or native"
-                        );
-                        usage();
-                    }
-                    None => {
-                        eprintln!(
-                            "runbench: unknown engine {v:?}; valid engines: {}",
-                            psir::Engine::ALL.map(psir::Engine::flag_name).join(", ")
-                        );
-                        usage();
-                    }
-                }
-            }
             "--target" => {
                 i += 1;
                 let Some(v) = args.get(i) else {
@@ -153,17 +118,6 @@ fn main() {
                 }
             }
             "--check" => check = true,
-            "--min-speedup" => {
-                i += 1;
-                let Some(v) = args.get(i) else { usage() };
-                match v.parse::<f64>() {
-                    Ok(x) if x > 0.0 => min_speedup = Some(x),
-                    _ => {
-                        eprintln!("runbench: --min-speedup takes a positive number, got {v:?}");
-                        usage();
-                    }
-                }
-            }
             "--json" => json_out = Some(None),
             flag if flag.starts_with("--json=") => {
                 json_out = Some(Some(flag["--json=".len()..].to_string()));
@@ -220,24 +174,11 @@ fn main() {
                 .filter(|r| !r.identical)
                 .map(|r| format!("{}/{}", r.kernel, r.config))
                 .collect();
-            let (subject, baseline) = match cfg.engine {
-                psir::Engine::Native => ("native", "fast"),
-                _ => ("fast", "reference"),
-            };
             eprintln!(
-                "runbench: GATE FAILED: {subject} engine differs from {baseline} on: {}",
+                "runbench: GATE FAILED: fast engine differs from reference on: {}",
                 bad.join(", ")
             );
             std::process::exit(1);
-        }
-        if let Some(min) = min_speedup {
-            let s = report.geomean_speedup();
-            if s < min {
-                eprintln!(
-                    "runbench: GATE FAILED: geomean speedup {s:.2}x below required {min:.2}x"
-                );
-                std::process::exit(1);
-            }
         }
         eprintln!(
             "runbench: gate ok (engines identical on {} kernel runs, {:.2}x geomean speedup)",

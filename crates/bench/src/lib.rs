@@ -1,8 +1,7 @@
 //! # psim-bench — the experiment harnesses
 //!
 //! Binaries `fig4` and `fig5` regenerate the paper's two results figures
-//! (run them with `cargo run --release -p psim-bench --bin fig4` / `fig5`);
-//! the Criterion benches under `benches/` time the same configurations.
+//! (run them with `cargo run --release -p psim-bench --bin fig4` / `fig5`).
 //! See `EXPERIMENTS.md` at the repository root for recorded outputs.
 
 #![warn(missing_docs)]

@@ -1,4 +1,4 @@
-//! The differential oracle: one program, five execution configurations,
+//! The differential oracle: one program, four execution configurations,
 //! byte-identical results.
 //!
 //! Every test case is run through:
@@ -13,15 +13,12 @@
 //!    retained pre-plan interpreter. Must match (2) on outputs *and* on
 //!    simulated cycles and execution statistics (the engine-identity
 //!    contract from the fast-engine PR).
-//! 4. **Vectorized, native tier** — the same module on the fused
-//!    block-kernel engine ([`psir::Engine::Native`]), held to the same
-//!    outputs/cycles/stats identity against (2).
-//! 5. **Forced scalar fallback** — the pipeline with an injected
+//! 4. **Forced scalar fallback** — the pipeline with an injected
 //!    `vectorize:panic` fault, degrading every region to the serialized
 //!    scalar gang loop. Outputs must still match (1).
 //!
 //! When `PSIM_INJECT_FAULT` is armed (or [`OracleOptions::inject`] is set),
-//! configurations (2)–(4) run the *degraded* pipeline instead, so
+//! configurations (2) and (3) run the *degraded* pipeline instead, so
 //! fault-degraded regions are differentially checked against the SPMD
 //! reference too — and the redundant forced-fallback configuration is
 //! skipped.
@@ -269,9 +266,9 @@ fn compare_outputs(
 }
 
 /// Checks one vectorized (or degraded) module against the precomputed SPMD
-/// reference outputs, across all three interpreter engines and all `n`
-/// values; the reference and native engines must additionally match the
-/// fast engine's simulated cycles and execution statistics. Every extra
+/// reference outputs, across both interpreter engines and all `n` values;
+/// the reference engine must additionally match the fast engine's
+/// simulated cycles and execution statistics. Every extra
 /// costing target in `opts.targets` is then swept on the fast engine:
 /// outputs must stay byte-identical (cycles legitimately move — that is
 /// what a target is for).
@@ -292,44 +289,41 @@ fn check_module(
         if let Some(v) = compare_outputs(case, *n, label, &fast.0, want) {
             return Some(v);
         }
-        for (engine, name) in [(Engine::Reference, "reference"), (Engine::Native, "native")] {
-            let other = match run_vectorized(
-                module,
-                case,
-                *n,
-                engine,
-                &cost,
-                step_limit,
-                &format!("{label}({name} engine)"),
-            ) {
-                Ok(r) => r,
-                Err(f) => return Some(Verdict::Fail(f)),
-            };
-            if let Some(v) =
-                compare_outputs(case, *n, &format!("{label}({name} engine)"), &other.0, want)
-            {
-                return Some(v);
-            }
-            if fast.1 != other.1 {
-                return Some(fail(
-                    FailKind::CycleMismatch,
-                    format!(
-                        "{}: n={n}: {label}: fast engine simulated {} cycles, \
-                         {name} engine {}",
-                        case.name, fast.1, other.1
-                    ),
-                ));
-            }
-            if fast.2 != other.2 {
-                return Some(fail(
-                    FailKind::StatsMismatch,
-                    format!(
-                        "{}: n={n}: {label}: engine stats differ: fast {:?} vs \
-                         {name} {:?}",
-                        case.name, fast.2, other.2
-                    ),
-                ));
-            }
+        let rlabel = format!("{label}(reference engine)");
+        let refeng = match run_vectorized(
+            module,
+            case,
+            *n,
+            Engine::Reference,
+            &cost,
+            step_limit,
+            &rlabel,
+        ) {
+            Ok(r) => r,
+            Err(f) => return Some(Verdict::Fail(f)),
+        };
+        if let Some(v) = compare_outputs(case, *n, &rlabel, &refeng.0, want) {
+            return Some(v);
+        }
+        if fast.1 != refeng.1 {
+            return Some(fail(
+                FailKind::CycleMismatch,
+                format!(
+                    "{}: n={n}: {label}: fast engine simulated {} cycles, \
+                     reference engine {}",
+                    case.name, fast.1, refeng.1
+                ),
+            ));
+        }
+        if fast.2 != refeng.2 {
+            return Some(fail(
+                FailKind::StatsMismatch,
+                format!(
+                    "{}: n={n}: {label}: engine stats differ: fast {:?} vs \
+                     reference {:?}",
+                    case.name, fast.2, refeng.2
+                ),
+            ));
         }
         for t in &opts.targets {
             let tcost = TargetCost::for_target(t.clone());

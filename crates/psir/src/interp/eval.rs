@@ -990,307 +990,6 @@ pub fn cast_lane_fn(kind: CastKind, from: ScalarTy, to: ScalarTy) -> fn(u64) -> 
     }
 }
 
-// ---------------------------------------------------------------------------
-// Whole-vector kernels for the native tier.
-//
-// The lane kernels above are resolved to *per-lane* function pointers by
-// `FramePlan::build`, so the fast engine still pays one indirect call per
-// lane. The native tier instead resolves one of these *whole-vector*
-// kernels per static instruction: the lane operation is inlined into a
-// monomorphized loop over the operand views (one instantiation per
-// opcode × element type), which the optimizer can unroll and
-// auto-vectorize. Each kernel applies exactly the same lane function in
-// exactly the same order as `Interp::map2`/`map1`, so results stay
-// bit-identical to both interpreter engines.
-
-use super::Lanes;
-
-/// Two-operand whole-vector kernel (binary ops and comparisons).
-pub type VecKern2 = fn(&mut Vec<u64>, Lanes<'_>, Lanes<'_>);
-/// One-operand whole-vector kernel (unary ops and casts).
-pub type VecKern1 = fn(&mut Vec<u64>, Lanes<'_>);
-/// Three-operand whole-vector kernel (fused multiply-add).
-pub type VecKern3 = fn(&mut Vec<u64>, Lanes<'_>, Lanes<'_>, Lanes<'_>);
-
-/// The shape-specialized loop of [`super::Interp::map2`], generic over the
-/// lane op so each instantiation inlines it.
-#[inline(always)]
-fn vmap2(g: impl Fn(u64, u64) -> u64, out: &mut Vec<u64>, a: Lanes<'_>, b: Lanes<'_>) {
-    match (a, b) {
-        (Lanes::Slice(x), Lanes::Slice(y)) => {
-            out.extend(x.iter().zip(y).map(|(&p, &q)| g(p, q)));
-        }
-        (Lanes::Slice(x), Lanes::Splat { val, .. }) => {
-            out.extend(x.iter().map(|&p| g(p, val)));
-        }
-        (Lanes::Splat { val, .. }, Lanes::Slice(y)) => {
-            out.extend(y.iter().map(|&q| g(val, q)));
-        }
-        (Lanes::Splat { val: p, lanes }, Lanes::Splat { val: q, .. }) => {
-            out.resize(lanes as usize, g(p, q));
-        }
-    }
-}
-
-/// One-operand counterpart of [`vmap2`] (mirrors `Interp::map1`).
-#[inline(always)]
-fn vmap1(g: impl Fn(u64) -> u64, out: &mut Vec<u64>, a: Lanes<'_>) {
-    match a {
-        Lanes::Slice(x) => out.extend(x.iter().map(|&p| g(p))),
-        Lanes::Splat { val, lanes } => out.resize(lanes as usize, g(val)),
-    }
-}
-
-/// Three-operand indexed loop (mirrors the interpreter's fma lane loop,
-/// which does not shape-specialize).
-#[inline(always)]
-fn vmap3(
-    g: impl Fn(u64, u64, u64) -> u64,
-    out: &mut Vec<u64>,
-    a: Lanes<'_>,
-    b: Lanes<'_>,
-    c: Lanes<'_>,
-) {
-    for i in 0..a.len() {
-        out.push(g(a.at(i), b.at(i), c.at(i)));
-    }
-}
-
-macro_rules! vk2 {
-    ($g:expr) => {{
-        fn k(out: &mut Vec<u64>, a: Lanes<'_>, b: Lanes<'_>) {
-            vmap2($g, out, a, b);
-        }
-        k as VecKern2
-    }};
-}
-
-macro_rules! vk1 {
-    ($g:expr) => {{
-        fn k(out: &mut Vec<u64>, a: Lanes<'_>) {
-            vmap1($g, out, a);
-        }
-        k as VecKern1
-    }};
-}
-
-macro_rules! vk3 {
-    ($g:expr) => {{
-        fn k(out: &mut Vec<u64>, a: Lanes<'_>, b: Lanes<'_>, c: Lanes<'_>) {
-            vmap3($g, out, a, b, c);
-        }
-        k as VecKern3
-    }};
-}
-
-macro_rules! bw_vk2 {
-    ($f:ident, $w:expr) => {
-        match $w {
-            1 => vk2!($f::<1>),
-            8 => vk2!($f::<8>),
-            16 => vk2!($f::<16>),
-            32 => vk2!($f::<32>),
-            _ => vk2!($f::<64>),
-        }
-    };
-}
-
-macro_rules! bw_vk1 {
-    ($f:ident, $w:expr) => {
-        match $w {
-            1 => vk1!($f::<1>),
-            8 => vk1!($f::<8>),
-            16 => vk1!($f::<16>),
-            32 => vk1!($f::<32>),
-            _ => vk1!($f::<64>),
-        }
-    };
-}
-
-macro_rules! bw_vk3 {
-    ($w:expr, $mul:ident, $add:ident) => {
-        match $w {
-            1 => vk3!(|x, y, z| $add::<1>($mul::<1>(x, y), z)),
-            8 => vk3!(|x, y, z| $add::<8>($mul::<8>(x, y), z)),
-            16 => vk3!(|x, y, z| $add::<16>($mul::<16>(x, y), z)),
-            32 => vk3!(|x, y, z| $add::<32>($mul::<32>(x, y), z)),
-            _ => vk3!(|x, y, z| $add::<64>($mul::<64>(x, y), z)),
-        }
-    };
-}
-
-/// Whole-vector mirror of [`bin_lane_fn`]: `Some` for exactly the same
-/// opcode/type combinations, applying the same lane kernel.
-pub fn bin_vec_fn(op: BinOp, ty: ScalarTy) -> Option<VecKern2> {
-    use BinOp::*;
-    if op.is_float() {
-        let g = match (ty, op) {
-            (ScalarTy::F32, FAdd) => vk2!(k_fadd32),
-            (ScalarTy::F32, FSub) => vk2!(k_fsub32),
-            (ScalarTy::F32, FMul) => vk2!(k_fmul32),
-            (ScalarTy::F32, FDiv) => vk2!(k_fdiv32),
-            (ScalarTy::F32, FRem) => vk2!(k_frem32),
-            (ScalarTy::F32, FMin) => vk2!(k_fmin32),
-            (ScalarTy::F32, FMax) => vk2!(k_fmax32),
-            (ScalarTy::F64, FAdd) => vk2!(k_fadd64),
-            (ScalarTy::F64, FSub) => vk2!(k_fsub64),
-            (ScalarTy::F64, FMul) => vk2!(k_fmul64),
-            (ScalarTy::F64, FDiv) => vk2!(k_fdiv64),
-            (ScalarTy::F64, FRem) => vk2!(k_frem64),
-            (ScalarTy::F64, FMin) => vk2!(k_fmin64),
-            (ScalarTy::F64, FMax) => vk2!(k_fmax64),
-            _ => return None,
-        };
-        return Some(g);
-    }
-    let w = ty.bits();
-    Some(match op {
-        Add => bw_vk2!(k_add, w),
-        Sub => bw_vk2!(k_sub, w),
-        Mul => bw_vk2!(k_mul, w),
-        And => vk2!(k_and),
-        Or => vk2!(k_or),
-        Xor => vk2!(k_xor),
-        Shl => bw_vk2!(k_shl, w),
-        LShr => bw_vk2!(k_lshr, w),
-        AShr => bw_vk2!(k_ashr, w),
-        SMin => bw_vk2!(k_smin, w),
-        SMax => bw_vk2!(k_smax, w),
-        UMin => vk2!(k_umin),
-        UMax => vk2!(k_umax),
-        // Same carve-out as bin_lane_fn: 64-bit signed saturation stays on
-        // the shared path.
-        AddSatS if w < 64 => bw_vk2!(k_addsats, w),
-        SubSatS if w < 64 => bw_vk2!(k_subsats, w),
-        AddSatU => bw_vk2!(k_addsatu, w),
-        SubSatU => vk2!(k_subsatu),
-        AvgU => bw_vk2!(k_avgu, w),
-        MulHiS => bw_vk2!(k_mulhis, w),
-        MulHiU => bw_vk2!(k_mulhiu, w),
-        _ => return None,
-    })
-}
-
-/// Whole-vector mirror of [`cmp_lane_fn`].
-pub fn cmp_vec_fn(pred: CmpPred, ty: ScalarTy) -> VecKern2 {
-    use CmpPred::*;
-    let w = ty.bits();
-    match pred {
-        Eq => vk2!(k_eq),
-        Ne => vk2!(k_ne),
-        Slt => bw_vk2!(k_slt, w),
-        Sle => bw_vk2!(k_sle, w),
-        Sgt => bw_vk2!(k_sgt, w),
-        Sge => bw_vk2!(k_sge, w),
-        Ult => vk2!(k_ult),
-        Ule => vk2!(k_ule),
-        Ugt => vk2!(k_ugt),
-        Uge => vk2!(k_uge),
-        FOeq | FOne | FOlt | FOle | FOgt | FOge => match ty {
-            ScalarTy::F32 => match pred {
-                FOeq => vk2!(k_foeq32),
-                FOne => vk2!(k_fone32),
-                FOlt => vk2!(k_folt32),
-                FOle => vk2!(k_fole32),
-                FOgt => vk2!(k_fogt32),
-                _ => vk2!(k_foge32),
-            },
-            ScalarTy::F64 => match pred {
-                FOeq => vk2!(k_foeq64),
-                FOne => vk2!(k_fone64),
-                FOlt => vk2!(k_folt64),
-                FOle => vk2!(k_fole64),
-                FOgt => vk2!(k_fogt64),
-                _ => vk2!(k_foge64),
-            },
-            _ => vk2!(k_false),
-        },
-    }
-}
-
-/// Whole-vector mirror of [`un_lane_fn`].
-pub fn un_vec_fn(op: UnOp, ty: ScalarTy) -> Option<VecKern1> {
-    use UnOp::*;
-    let w = ty.bits();
-    Some(match (op, ty) {
-        (Not, _) => bw_vk1!(k_not, w),
-        (INeg, _) => bw_vk1!(k_ineg, w),
-        (IAbs, _) => bw_vk1!(k_iabs, w),
-        (FNeg, ScalarTy::F32) => vk1!(k_fneg32),
-        (FNeg, ScalarTy::F64) => vk1!(k_fneg64),
-        (FAbs, ScalarTy::F32) => vk1!(k_fabs32),
-        (FAbs, ScalarTy::F64) => vk1!(k_fabs64),
-        (FSqrt, ScalarTy::F32) => vk1!(k_fsqrt32),
-        (FSqrt, ScalarTy::F64) => vk1!(k_fsqrt64),
-        (FFloor, ScalarTy::F32) => vk1!(k_ffloor32),
-        (FFloor, ScalarTy::F64) => vk1!(k_ffloor64),
-        (FCeil, ScalarTy::F32) => vk1!(k_fceil32),
-        (FCeil, ScalarTy::F64) => vk1!(k_fceil64),
-        (FRound, ScalarTy::F32) => vk1!(k_fround32),
-        (FRound, ScalarTy::F64) => vk1!(k_fround64),
-        _ => return None,
-    })
-}
-
-/// Whole-vector mirror of [`cast_lane_fn`].
-pub fn cast_vec_fn(kind: CastKind, from: ScalarTy, to: ScalarTy) -> VecKern1 {
-    use CastKind::*;
-    let (fw, tw) = (from.bits(), to.bits());
-    match kind {
-        Zext | Trunc | Bitcast | PtrToInt | IntToPtr => bw_vk1!(k_trunc, tw),
-        Sext => {
-            macro_rules! arm {
-                ($F:literal) => {
-                    match tw {
-                        1 => vk1!(k_sextc::<$F, 1>),
-                        8 => vk1!(k_sextc::<$F, 8>),
-                        16 => vk1!(k_sextc::<$F, 16>),
-                        32 => vk1!(k_sextc::<$F, 32>),
-                        _ => vk1!(k_sextc::<$F, 64>),
-                    }
-                };
-            }
-            match fw {
-                1 => arm!(1),
-                8 => arm!(8),
-                16 => arm!(16),
-                32 => arm!(32),
-                _ => arm!(64),
-            }
-        }
-        FpExt => vk1!(k_fpext),
-        FpTrunc => vk1!(k_fptrunc),
-        SiToFp => match to {
-            ScalarTy::F32 => bw_vk1!(k_si2f32, fw),
-            _ => bw_vk1!(k_si2f64, fw),
-        },
-        UiToFp => match to {
-            ScalarTy::F32 => vk1!(k_ui2f32),
-            _ => vk1!(k_ui2f64),
-        },
-        FpToSi => match from {
-            ScalarTy::F32 => bw_vk1!(k_f32tosi, tw),
-            _ => bw_vk1!(k_f64tosi, tw),
-        },
-        FpToUi => match from {
-            ScalarTy::F32 => bw_vk1!(k_f32toui, tw),
-            _ => bw_vk1!(k_f64toui, tw),
-        },
-    }
-}
-
-/// Whole-vector fused multiply-add kernel for `ty` lanes, composing the
-/// same `mul`-then-`add` lane kernels the interpreter's fma path evaluates
-/// through `eval_bin`. `None` for element types without specialized
-/// arithmetic (those keep the shared per-instruction path).
-pub fn fma_vec_fn(ty: ScalarTy) -> Option<VecKern3> {
-    match ty {
-        ScalarTy::F32 => Some(vk3!(|x, y, z| k_fadd32(k_fmul32(x, y), z))),
-        ScalarTy::F64 => Some(vk3!(|x, y, z| k_fadd64(k_fmul64(x, y), z))),
-        t => Some(bw_vk3!(t.bits(), k_mul, k_add)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1473,192 +1172,5 @@ mod tests {
         assert!((f32::from_bits(p as u32) - 1024.0).abs() < 1e-2);
         let c = eval_math(MathFn::Cdf, ScalarTy::F64, &[0f64.to_bits()]).unwrap();
         assert!((f64::from_bits(c) - 0.5).abs() < 1e-6);
-    }
-
-    /// Interesting payloads: boundary bit patterns plus float encodings
-    /// (NaN, inf, negative zero) that stress ordered-compare and cast
-    /// clamping semantics.
-    const PAYLOADS: [u64; 12] = [
-        0,
-        1,
-        2,
-        0x7f,
-        0x80,
-        0xff,
-        0x8000_0000,
-        u64::MAX,
-        i64::MIN as u64,
-        0x7fc0_0000,           // f32 NaN
-        0xfff8_0000_0000_0000, // f64 NaN
-        0x3f80_0000,           // f32 1.0
-    ];
-
-    const ALL_TYS: [ScalarTy; 8] = [
-        ScalarTy::I1,
-        ScalarTy::I8,
-        ScalarTy::I16,
-        ScalarTy::I32,
-        ScalarTy::I64,
-        ScalarTy::F32,
-        ScalarTy::F64,
-        ScalarTy::Ptr,
-    ];
-
-    /// Runs a whole-vector kernel against the per-lane kernel across all
-    /// four operand-shape combinations.
-    fn check_vec2(g: fn(u64, u64) -> u64, vg: VecKern2, label: &str) {
-        let a: Vec<u64> = PAYLOADS.to_vec();
-        let b: Vec<u64> = PAYLOADS.iter().rev().copied().collect();
-        let n = a.len() as u32;
-        let want: Vec<u64> = a.iter().zip(&b).map(|(&p, &q)| g(p, q)).collect();
-        let shapes: [(Lanes<'_>, Lanes<'_>, Vec<u64>); 4] = [
-            (Lanes::Slice(&a), Lanes::Slice(&b), want.clone()),
-            (
-                Lanes::Slice(&a),
-                Lanes::Splat {
-                    val: b[0],
-                    lanes: n,
-                },
-                a.iter().map(|&p| g(p, b[0])).collect(),
-            ),
-            (
-                Lanes::Splat {
-                    val: a[0],
-                    lanes: n,
-                },
-                Lanes::Slice(&b),
-                b.iter().map(|&q| g(a[0], q)).collect(),
-            ),
-            (
-                Lanes::Splat {
-                    val: a[0],
-                    lanes: n,
-                },
-                Lanes::Splat {
-                    val: b[0],
-                    lanes: n,
-                },
-                vec![g(a[0], b[0]); n as usize],
-            ),
-        ];
-        for (la, lb, want) in shapes {
-            let mut out = Vec::new();
-            vg(&mut out, la, lb);
-            assert_eq!(out, want, "vec2 kernel mismatch: {label}");
-        }
-    }
-
-    #[test]
-    fn vec_kernels_match_lane_kernels_bin() {
-        use crate::inst::BinOp::*;
-        for op in [
-            Add, Sub, Mul, And, Or, Xor, Shl, LShr, AShr, SMin, SMax, UMin, UMax, AddSatS, SubSatS,
-            AddSatU, SubSatU, AvgU, MulHiS, MulHiU, FAdd, FSub, FMul, FDiv, FRem, FMin, FMax,
-        ] {
-            for ty in ALL_TYS {
-                match (bin_lane_fn(op, ty), bin_vec_fn(op, ty)) {
-                    (Some(g), Some(vg)) => check_vec2(g, vg, &format!("{op:?}/{ty:?}")),
-                    (None, None) => {}
-                    (l, v) => panic!(
-                        "bin_vec_fn coverage diverges from bin_lane_fn for {op:?}/{ty:?}: \
-                         lane={} vec={}",
-                        l.is_some(),
-                        v.is_some()
-                    ),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn vec_kernels_match_lane_kernels_cmp() {
-        use crate::inst::CmpPred::*;
-        for pred in [
-            Eq, Ne, Slt, Sle, Sgt, Sge, Ult, Ule, Ugt, Uge, FOeq, FOne, FOlt, FOle, FOgt, FOge,
-        ] {
-            for ty in ALL_TYS {
-                check_vec2(
-                    cmp_lane_fn(pred, ty),
-                    cmp_vec_fn(pred, ty),
-                    &format!("{pred:?}/{ty:?}"),
-                );
-            }
-        }
-    }
-
-    fn check_vec1(g: fn(u64) -> u64, vg: VecKern1, label: &str) {
-        let a: Vec<u64> = PAYLOADS.to_vec();
-        let want: Vec<u64> = a.iter().map(|&p| g(p)).collect();
-        let mut out = Vec::new();
-        vg(&mut out, Lanes::Slice(&a));
-        assert_eq!(out, want, "vec1 kernel mismatch (slice): {label}");
-        out.clear();
-        vg(
-            &mut out,
-            Lanes::Splat {
-                val: a[3],
-                lanes: 5,
-            },
-        );
-        assert_eq!(
-            out,
-            vec![g(a[3]); 5],
-            "vec1 kernel mismatch (splat): {label}"
-        );
-    }
-
-    #[test]
-    fn vec_kernels_match_lane_kernels_un_and_cast() {
-        use crate::inst::CastKind::*;
-        use crate::inst::UnOp::*;
-        for op in [Not, INeg, IAbs, FNeg, FAbs, FSqrt, FFloor, FCeil, FRound] {
-            for ty in ALL_TYS {
-                match (un_lane_fn(op, ty), un_vec_fn(op, ty)) {
-                    (Some(g), Some(vg)) => check_vec1(g, vg, &format!("{op:?}/{ty:?}")),
-                    (None, None) => {}
-                    _ => panic!("un_vec_fn coverage diverges for {op:?}/{ty:?}"),
-                }
-            }
-        }
-        for kind in [
-            Zext, Sext, Trunc, Bitcast, PtrToInt, IntToPtr, FpExt, FpTrunc, SiToFp, UiToFp, FpToSi,
-            FpToUi,
-        ] {
-            for from in ALL_TYS {
-                for to in ALL_TYS {
-                    check_vec1(
-                        cast_lane_fn(kind, from, to),
-                        cast_vec_fn(kind, from, to),
-                        &format!("{kind:?}/{from:?}->{to:?}"),
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fma_vec_matches_eval_bin_composition() {
-        for ty in ALL_TYS {
-            let Some(vg) = fma_vec_fn(ty) else { continue };
-            let (mul, add) = if ty.is_float() {
-                (BinOp::FMul, BinOp::FAdd)
-            } else {
-                (BinOp::Mul, BinOp::Add)
-            };
-            let a: Vec<u64> = PAYLOADS.to_vec();
-            let b: Vec<u64> = PAYLOADS.iter().rev().copied().collect();
-            let c: Vec<u64> = PAYLOADS.iter().map(|p| p.rotate_left(7)).collect();
-            let want: Vec<u64> = (0..a.len())
-                .map(|i| eval_bin(add, ty, eval_bin(mul, ty, a[i], b[i]).unwrap(), c[i]).unwrap())
-                .collect();
-            let mut out = Vec::new();
-            vg(
-                &mut out,
-                Lanes::Slice(&a),
-                Lanes::Slice(&b),
-                Lanes::Slice(&c),
-            );
-            assert_eq!(out, want, "fma kernel mismatch: {ty:?}");
-        }
     }
 }

@@ -23,7 +23,6 @@
 mod cancel;
 mod eval;
 mod memory;
-mod native;
 mod plan;
 mod plan_cache;
 
@@ -318,24 +317,17 @@ pub enum Engine {
     /// queries, dynamic φ scans), kept as the identity baseline for
     /// `runbench --check` and the differential tests.
     Reference,
-    /// The native tier: block bodies lowered to fused, monomorphized
-    /// kernels over a linear-scan-compacted register file, with batched
-    /// per-block accounting and per-block bailout to the per-instruction
-    /// path (see `interp/native/`). Byte-identical to the other engines
-    /// on results, cycles, stats, and profiles.
-    Native,
 }
 
 impl Engine {
     /// Every selectable engine, in CLI listing order.
-    pub const ALL: [Engine; 3] = [Engine::Fast, Engine::Reference, Engine::Native];
+    pub const ALL: [Engine; 2] = [Engine::Fast, Engine::Reference];
 
     /// The CLI name of the engine (`--engine` flag value).
     pub fn flag_name(self) -> &'static str {
         match self {
             Engine::Fast => "fast",
             Engine::Reference => "reference",
-            Engine::Native => "native",
         }
     }
 
@@ -345,7 +337,6 @@ impl Engine {
         match s {
             "fast" => Some(Engine::Fast),
             "reference" | "ref" => Some(Engine::Reference),
-            "native" => Some(Engine::Native),
             _ => None,
         }
     }
@@ -376,28 +367,12 @@ impl SlotFrame {
     }
 }
 
-/// Storage for instruction results: implemented by the fast engine's
-/// dense [`SlotFrame`] and by the native tier's linear-scan-compacted
-/// register file, so both engines execute instructions through the one
-/// shared `exec_inst` path (monomorphized per store — no dynamic
-/// dispatch on the hot loop).
-trait ValueStore {
-    /// The stored value of `i`, if the id is in range.
-    fn value(&self, i: InstId) -> Option<&RtVal>;
-}
-
-impl ValueStore for SlotFrame {
-    fn value(&self, i: InstId) -> Option<&RtVal> {
-        self.get(i)
-    }
-}
-
 /// Resolves an operand to a (usually borrowed) runtime value — the fast
 /// engine's allocation-free replacement for the reference path's
 /// clone-per-operand `value_ref`.
-fn operand<'v, S: ValueStore>(
+fn operand<'v>(
     f: &Function,
-    frame: &'v S,
+    frame: &'v SlotFrame,
     args: &'v [RtVal],
     v: Value,
 ) -> Result<Cow<'v, RtVal>, ExecError> {
@@ -408,7 +383,7 @@ fn operand<'v, S: ValueStore>(
             .map(Cow::Borrowed)
             .ok_or_else(|| ExecError::Other(format!("missing argument {i} to @{}", f.name))),
         Value::Inst(i) => frame
-            .value(i)
+            .get(i)
             .map(Cow::Borrowed)
             .ok_or_else(|| ExecError::Other(format!("use of unevaluated {i} in @{}", f.name))),
     }
@@ -442,10 +417,6 @@ pub struct Interp<'a> {
     plan_shared_hits: u64,
     /// Plans this interpreter had to build itself.
     plan_builds: u64,
-    /// Blocks the native tier handed back to the per-instruction path
-    /// (incomplete φ edges or a step-limit boundary). Zero on the hot
-    /// suite kernels; reported by `runbench --engine native`.
-    native_bailouts: u64,
     /// Recycled lane buffers for vector results.
     lane_pool: Vec<Vec<u64>>,
     /// Recycled slot vectors for fast-engine activations.
@@ -494,7 +465,6 @@ impl<'a> Interp<'a> {
             shared_plans: None,
             plan_shared_hits: 0,
             plan_builds: 0,
-            native_bailouts: 0,
             lane_pool: Vec::new(),
             frame_pool: Vec::new(),
             cancel: None,
@@ -607,14 +577,7 @@ impl<'a> Interp<'a> {
         match self.engine {
             Engine::Fast => self.exec_planned(f, args),
             Engine::Reference => self.exec_reference(f, args),
-            Engine::Native => self.exec_native(f, args),
         }
-    }
-
-    /// Blocks the native tier bailed out of to the per-instruction path
-    /// (see [`Engine::Native`]). Always zero under the other engines.
-    pub fn native_bailouts(&self) -> u64 {
-        self.native_bailouts
     }
 
     /// Attaches a shared cross-thread [`PlanCache`]. `module_id` must be a
@@ -632,7 +595,7 @@ impl<'a> Interp<'a> {
     }
 
     /// Clears every piece of per-run state — cycles, statistics, step
-    /// count, profile, cancellation token, and the plan/bailout telemetry
+    /// count, profile, cancellation token, and the plan telemetry
     /// counters — while keeping the warm machinery: resolved plans, the
     /// shared plan cache attachment, the lane/frame pools, the engine
     /// selection, and the step limit. The memory is *not* touched; callers
@@ -647,7 +610,6 @@ impl<'a> Interp<'a> {
         self.steps = 0;
         self.plan_shared_hits = 0;
         self.plan_builds = 0;
-        self.native_bailouts = 0;
         self.cancel = None;
         self.next_deadline_poll = 0;
     }
@@ -1392,10 +1354,10 @@ impl<'a> Interp<'a> {
     /// call-site table (call kind and extern cost) and the pre-resolved
     /// per-lane kernels.
     #[allow(clippy::too_many_lines)]
-    fn exec_inst<S: ValueStore>(
+    fn exec_inst(
         &mut self,
         f: &Function,
-        frame: &S,
+        frame: &SlotFrame,
         args: &[RtVal],
         id: InstId,
         plan: &FramePlan,
@@ -1735,7 +1697,7 @@ impl<'a> Interp<'a> {
                         self.externs.call(callee, &avs)
                     }
                     _ => match self.module.function(callee) {
-                        Some(callee_fn) => self.exec_function(callee_fn, avs),
+                        Some(callee_fn) => self.exec_planned(callee_fn, avs),
                         None => Err(ExecError::UnknownFunction(callee.clone())),
                     },
                 }
@@ -1882,7 +1844,7 @@ mod tests {
     fn engines_agree_on_cycles_and_profile() {
         let m = sum_module();
         let mut results = Vec::new();
-        for engine in [Engine::Fast, Engine::Reference, Engine::Native] {
+        for engine in Engine::ALL {
             let mut it = Interp::with_defaults(&m, Memory::default());
             it.set_engine(engine);
             it.enable_profiling();
@@ -1891,6 +1853,170 @@ mod tests {
             results.push((r, it.cycles, it.stats, p.to_json().to_string_pretty()));
         }
         assert_eq!(results[0], results[1]);
+    }
+
+    /// Vector loop: acc = Σ_i (v * i) over 8 lanes, then reduce.
+    fn vec_loop_module() -> Module {
+        let mut fb = FunctionBuilder::new(
+            "vk",
+            vec![Param::new("n", Ty::scalar(ScalarTy::I64))],
+            Ty::scalar(ScalarTy::I64),
+        );
+        let header = fb.new_block("header");
+        let body = fb.new_block("body");
+        let exit = fb.new_block("exit");
+        let entry = fb.current_block();
+        let base = fb.const_vec(ScalarTy::I64, (1..=8).collect());
+        let zero = fb.splat(c_i64(0), 8);
+        fb.br(header);
+        fb.switch_to(header);
+        let i = fb.phi_typed(Ty::scalar(ScalarTy::I64), vec![(entry, c_i64(0))]);
+        let acc = fb.phi_typed(Ty::vec(ScalarTy::I64, 8), vec![(entry, zero)]);
+        let c = fb.cmp(CmpPred::Slt, i, Value::Param(0));
+        fb.cond_br(c, body, exit);
+        fb.switch_to(body);
+        let iv = fb.splat(i, 8);
+        let prod = fb.bin(BinOp::Mul, base, iv);
+        let acc2 = fb.bin(BinOp::Add, acc, prod);
+        let i2 = fb.bin(BinOp::Add, i, 1i64);
+        fb.phi_add_incoming(i, body, i2);
+        fb.phi_add_incoming(acc, body, acc2);
+        fb.br(header);
+        fb.switch_to(exit);
+        let r = fb.reduce(ReduceOp::Add, acc, None);
+        fb.ret(Some(r));
+        let mut m = Module::new();
+        m.add_function(fb.finish());
+        m
+    }
+
+    /// Asserts both engines leave the same observable state after calling
+    /// `name` — including on the error paths (traps, step limits, broken
+    /// φ edges), where the per-step accounting must stop at the same
+    /// instruction.
+    fn assert_engines_identical(m: &Module, name: &str, args: &[RtVal], step_limit: Option<u64>) {
+        let observe = |engine: Engine| {
+            let mut it = Interp::with_defaults(m, Memory::default());
+            it.set_engine(engine);
+            if let Some(l) = step_limit {
+                it.set_step_limit(l);
+            }
+            it.enable_profiling();
+            let r = it.call(name, args);
+            let p = it.take_profile().map(|p| p.to_json().to_string_pretty());
+            (r, it.cycles, it.steps(), it.stats, p)
+        };
+        assert_eq!(
+            observe(Engine::Fast),
+            observe(Engine::Reference),
+            "engines diverge on @{name} (step limit {step_limit:?})"
+        );
+    }
+
+    #[test]
+    fn engines_agree_on_traps_and_step_limit_boundaries() {
+        let m = vec_loop_module();
+        assert_engines_identical(&m, "vk", &[RtVal::S(100)], None);
+        for limit in [1, 7, 8, 9, 40, 41] {
+            assert_engines_identical(&m, "vk", &[RtVal::S(1_000_000)], Some(limit));
+        }
+
+        // Division by zero mid-block.
+        let mut fb = FunctionBuilder::new(
+            "trap",
+            vec![Param::new("d", Ty::scalar(ScalarTy::I64))],
+            Ty::scalar(ScalarTy::I64),
+        );
+        let a = fb.bin(BinOp::Add, 10i64, 5i64);
+        let q = fb.bin(BinOp::SDiv, a, Value::Param(0));
+        let z = fb.bin(BinOp::Add, q, 1i64);
+        fb.ret(Some(z));
+        let mut m = Module::new();
+        m.add_function(fb.finish());
+        assert_engines_identical(&m, "trap", &[RtVal::S(0)], None);
+        assert_engines_identical(&m, "trap", &[RtVal::S(3)], None);
+
+        // A φ source reading an argument the caller does not pass.
+        let mut fb = FunctionBuilder::new(
+            "phi_arg",
+            vec![Param::new("x", Ty::scalar(ScalarTy::I64))],
+            Ty::scalar(ScalarTy::I64),
+        );
+        let next = fb.new_block("next");
+        let entry = fb.current_block();
+        fb.br(next);
+        fb.switch_to(next);
+        let p = fb.phi_typed(Ty::scalar(ScalarTy::I64), vec![(entry, Value::Param(0))]);
+        fb.ret(Some(p));
+        let mut m = Module::new();
+        m.add_function(fb.finish());
+        assert_engines_identical(&m, "phi_arg", &[], None);
+        assert_engines_identical(&m, "phi_arg", &[RtVal::S(7)], None);
+
+        // A φ with no entry for one real predecessor.
+        let mut fb = FunctionBuilder::new(
+            "inc_phi",
+            vec![Param::new("c", Ty::scalar(ScalarTy::I1))],
+            Ty::scalar(ScalarTy::I64),
+        );
+        let left = fb.new_block("left");
+        let right = fb.new_block("right");
+        let join = fb.new_block("join");
+        fb.cond_br(Value::Param(0), left, right);
+        fb.switch_to(left);
+        fb.br(join);
+        fb.switch_to(right);
+        fb.br(join);
+        fb.switch_to(join);
+        let p = fb.phi_typed(Ty::scalar(ScalarTy::I64), vec![(left, c_i64(1))]);
+        fb.ret(Some(p));
+        let mut m = Module::new();
+        m.add_function(fb.finish());
+        assert_engines_identical(&m, "inc_phi", &[RtVal::S(1)], None);
+        assert_engines_identical(&m, "inc_phi", &[RtVal::S(0)], None);
+    }
+
+    #[test]
+    fn engines_agree_under_nonuniform_cost_model() {
+        // Distinct totals and classes per opcode: the fast engine's
+        // memoized table must charge and attribute exactly what the
+        // reference engine's per-step queries do.
+        struct Lumpy;
+        impl CostModel for Lumpy {
+            fn inst_cost(&self, f: &Function, id: InstId) -> u64 {
+                match f.inst(id) {
+                    Inst::Bin { .. } => 3,
+                    Inst::Phi { .. } => 2,
+                    _ => 5,
+                }
+            }
+            fn extern_call_cost(&self, _name: &str, _ret: Ty) -> u64 {
+                11
+            }
+            fn term_cost(&self, _f: &Function, _t: &Terminator) -> u64 {
+                4
+            }
+            fn inst_cost_classed(&self, f: &Function, id: InstId) -> Vec<(CostClass, u64)> {
+                vec![
+                    (CostClass::Other, self.inst_cost(f, id) - 1),
+                    (CostClass::VecAlu, 1),
+                ]
+            }
+        }
+        let m = vec_loop_module();
+        let mut results = Vec::new();
+        for engine in Engine::ALL {
+            let mut it = Interp::new(&m, Memory::default(), &Lumpy, &NoExterns);
+            it.set_engine(engine);
+            it.enable_profiling();
+            let r = it.call("vk", &[RtVal::S(50)]);
+            let p = it.take_profile().map(|p| p.to_json().to_string_pretty());
+            results.push((r, it.cycles, it.steps(), p));
+        }
+        assert_eq!(results[0], results[1]);
+        // Σ_{i<50} Σ_lane lane*i = (1+..+8) * (0+..+49)
+        assert_eq!(results[0].0, Ok(RtVal::S(36 * 1225)));
+        assert!(results[0].3.is_some(), "profiling enabled");
     }
 
     #[test]
@@ -1995,7 +2121,7 @@ mod tests {
         fb.br(l);
         let mut m = Module::new();
         m.add_function(fb.finish());
-        for engine in [Engine::Fast, Engine::Reference, Engine::Native] {
+        for engine in Engine::ALL {
             let mut it = Interp::with_defaults(&m, Memory::default());
             it.set_engine(engine);
             it.set_step_limit(1000);
@@ -2025,7 +2151,7 @@ mod tests {
         fb.ret(None);
         let mut m = Module::new();
         m.add_function(fb.finish());
-        for engine in [Engine::Fast, Engine::Reference, Engine::Native] {
+        for engine in Engine::ALL {
             let mut it = Interp::with_defaults(&m, Memory::default());
             it.set_engine(engine);
             it.set_step_limit(1000);
@@ -2046,7 +2172,7 @@ mod tests {
         fb.br(l);
         let mut m = Module::new();
         m.add_function(fb.finish());
-        for engine in [Engine::Fast, Engine::Reference, Engine::Native] {
+        for engine in Engine::ALL {
             let mut it = Interp::with_defaults(&m, Memory::default());
             it.set_engine(engine);
             let tok = CancelToken::new();
@@ -2069,7 +2195,7 @@ mod tests {
         fb.br(l);
         let mut m = Module::new();
         m.add_function(fb.finish());
-        for engine in [Engine::Fast, Engine::Reference, Engine::Native] {
+        for engine in Engine::ALL {
             let mut it = Interp::with_defaults(&m, Memory::default());
             it.set_engine(engine);
             it.set_cancel_token(CancelToken::with_deadline(std::time::Duration::from_nanos(
@@ -2089,7 +2215,7 @@ mod tests {
         // attaches one to every request, and the differential gates
         // require byte-identity with single-shot runs that attach none.
         let m = sum_module();
-        for engine in [Engine::Fast, Engine::Reference, Engine::Native] {
+        for engine in Engine::ALL {
             let mut plain = Interp::with_defaults(&m, Memory::default());
             plain.set_engine(engine);
             let r1 = plain.call("sum", &[RtVal::S(100)]).unwrap();

@@ -135,12 +135,6 @@ pub struct FramePlan {
     pub calls: Vec<CallSite>,
     /// Pre-resolved lane kernels, indexed by `InstId`.
     pub kernels: Vec<LaneKernel>,
-    /// The native tier's lowering of this plan, built lazily on first
-    /// native execution. Riding on the frame plan means every path that
-    /// shares frame plans — the interpreter's local memo, the shared
-    /// cross-thread [`PlanCache`](super::PlanCache) — shares the native
-    /// lowering with them for free.
-    pub(crate) native: std::sync::OnceLock<std::sync::Arc<super::native::NativePlan>>,
 }
 
 impl FramePlan {
@@ -250,7 +244,6 @@ impl FramePlan {
             costs,
             calls,
             kernels,
-            native: std::sync::OnceLock::new(),
         }
     }
 }

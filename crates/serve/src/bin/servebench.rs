@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! servebench [--clients N] [--n N] [--hot-iters K] [--check]
-//!            [--engine fast|reference|native]
+//!            [--engine fast|reference]
 //!            [--batch-window-ms MS] [--max-batch N]
 //!            [--min-speedup X] [--min-batch-speedup X]
 //!            [--json[=FILE]] [--baseline FILE]
@@ -64,7 +64,7 @@ const HELP: Help = Help {
         ),
         (
             "--engine E",
-            "execution engine for every request: fast, reference, or native (default: fast)",
+            "execution engine for every request: fast or reference (default: fast)",
         ),
         (
             "--target T",
@@ -102,7 +102,7 @@ const HELP: Help = Help {
 fn usage() -> ! {
     eprintln!(
         "usage: servebench [--clients N] [--n N] [--hot-iters K] [--check] \
-         [--engine fast|reference|native] [--target x86-avx512|x86-avx2|sve-vla[:VL]] \
+         [--engine fast|reference] [--target x86-avx512|x86-avx2|sve-vla[:VL]] \
          [--batch-window-ms MS] [--max-batch N] \
          [--min-speedup X] [--min-batch-speedup X] [--json[=FILE]] [--baseline FILE] \
          | servebench --chaos [--json[=FILE]]"
@@ -168,7 +168,7 @@ fn main() {
                     None => {
                         eprintln!(
                             "servebench: unknown engine {v:?} — \
-                             --engine takes fast, reference, or native"
+                             --engine takes fast or reference"
                         );
                         usage();
                     }

@@ -4,15 +4,15 @@
 //! module ([`ModuleCache`]) and (module, function) → execution plan
 //! (the shared [`psir::PlanCache`] from the interpreter) — and serves a
 //! [`RunRequest`] by compiling through them and executing on the
-//! interpreter engine the request names (fast by default, the native tier
-//! as an opt-in). [`single_shot`] is the cache-free reference path,
+//! interpreter engine the request names (fast by default, the reference
+//! engine as an opt-in). [`single_shot`] is the cache-free reference path,
 //! equivalent to a one-off `psimcc --run` invocation; `servebench
 //! --check` gates on the two producing byte-identical responses.
 //!
 //! The engine and costing target are part of the request key even though
-//! the compiled module depends on neither: native and fast requests for
-//! the same source never share a module or plan entry, so an
-//! engine-selection bug can never serve one tier's request from the
+//! the compiled module depends on neither: reference and fast requests
+//! for the same source never share a module or plan entry, so an
+//! engine-selection bug can never serve one engine's request from the
 //! other's warm path — and since cached cycle counts are priced against
 //! the request's target, per-target keys keep those prices from bleeding
 //! across machines.
@@ -881,47 +881,48 @@ void main(f32* restrict out, i64 n) {
     }
 
     #[test]
-    fn native_requests_never_share_cache_entries_with_fast_requests() {
+    fn reference_requests_never_share_cache_entries_with_fast_requests() {
         let state = ServeState::new(&ServeOptions::default());
         let fast_cold = state.run_request(&req(1)).expect("fast cold");
         assert!(!fast_cold.cache.module_hit);
 
-        // Same source on the native engine: a distinct module entry (cold
-        // compile) and distinct plans (builds, not shared hits).
-        let mut native = req(2);
-        native.engine = Engine::Native;
-        let native_cold = state.run_request(&native).expect("native cold");
+        // Same source on the reference engine: a distinct module entry
+        // (cold compile) and distinct plans (builds, not shared hits).
+        let mut reference = req(2);
+        reference.engine = Engine::Reference;
+        let reference_cold = state.run_request(&reference).expect("reference cold");
         assert!(
-            !native_cold.cache.module_hit,
-            "native request must not hit the fast request's module entry"
+            !reference_cold.cache.module_hit,
+            "reference request must not hit the fast request's module entry"
         );
         assert_eq!(
-            native_cold.cache.plan_shared_hits, 0,
-            "native request must not reuse the fast request's plans"
+            reference_cold.cache.plan_shared_hits, 0,
+            "reference request must not reuse the fast request's plans"
         );
         assert_eq!(state.modules.stats().entries, 2);
 
-        // Warm replays on each tier hit only their own entries, and both
-        // tiers serve the byte-identical answer.
+        // Warm replays on each engine hit only their own entries, and both
+        // engines serve the byte-identical answer.
         let fast_hot = state.run_request(&req(3)).expect("fast hot");
-        let mut native2 = req(4);
-        native2.engine = Engine::Native;
-        let native_hot = state.run_request(&native2).expect("native hot");
-        assert!(fast_hot.cache.module_hit && native_hot.cache.module_hit);
-        assert!(native_hot.cache.plan_shared_hits > 0);
+        let mut reference2 = req(4);
+        reference2.engine = Engine::Reference;
+        let reference_hot = state.run_request(&reference2).expect("reference hot");
+        assert!(fast_hot.cache.module_hit && reference_hot.cache.module_hit);
         assert_eq!(state.modules.stats().entries, 2);
         assert_eq!(fast_hot.identity(), fast_cold.identity());
-        assert_eq!(native_hot.identity(), native_cold.identity());
+        assert_eq!(reference_hot.identity(), reference_cold.identity());
         assert_eq!(
-            native_cold.identity(),
+            reference_cold.identity(),
             fast_cold.identity(),
             "engines must agree byte for byte"
         );
         let mut shot = req(5);
-        shot.engine = Engine::Native;
+        shot.engine = Engine::Reference;
         assert_eq!(
-            native_hot.identity(),
-            single_shot(&shot).expect("native single shot").identity()
+            reference_hot.identity(),
+            single_shot(&shot)
+                .expect("reference single shot")
+                .identity()
         );
     }
 

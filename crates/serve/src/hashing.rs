@@ -59,9 +59,9 @@ pub fn source_hash(src: &str) -> u64 {
 /// identifies a `FramePlan`.
 ///
 /// The engine and target are part of the key even though the compiled
-/// module depends on neither: keeping native-engine and per-target
+/// module depends on neither: keeping per-engine and per-target
 /// entries disjoint means a selection bug can never silently serve a
-/// request from the wrong tier's warm path (a cached response carries
+/// request from the wrong engine's warm path (a cached response carries
 /// target-priced cycles), and the per-engine hit/miss counters stay
 /// honest.
 pub fn request_key(
@@ -148,7 +148,7 @@ mod tests {
         );
         assert_ne!(
             base,
-            request_key(src, "parsimony", "fallback", "", "native", avx512)
+            request_key(src, "parsimony", "fallback", "", "reference", avx512)
         );
         // Targets keep disjoint warm paths: cached cycles are priced per
         // machine, and different SVE vector lengths price differently too.

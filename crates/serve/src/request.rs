@@ -183,7 +183,7 @@ pub struct RunRequest {
     pub inject: String,
     /// Interpreter engine to execute on (default fast). Engines are
     /// result-identical by contract, but the engine is still part of the
-    /// cache key so native and fast entries never share a warm path.
+    /// cache key so reference and fast entries never share a warm path.
     pub engine: Engine,
     /// Costing target the cycles are priced against (default
     /// `x86-avx512`). Targets never change outputs, but cached cycles are
@@ -929,17 +929,22 @@ mod tests {
     #[test]
     fn engine_field_round_trips_and_rejects_unknown_values() {
         let mut r = RunRequest::new(9, "void main(i64 n) { }", 8);
-        r.engine = Engine::Native;
+        r.engine = Engine::Reference;
         let line = Request::Run(Box::new(r)).to_json().to_string_compact();
         assert!(line.contains("\"engine\""));
         let Request::Run(b) = Request::parse(&line).unwrap() else {
             panic!("wrong op")
         };
-        assert_eq!(b.engine, Engine::Native);
+        assert_eq!(b.engine, Engine::Reference);
 
-        let bad = "{\"op\": \"run\", \"id\": 1, \"source\": \"\", \"n\": 8, \
-                   \"engine\": \"turbo\"}";
-        assert!(Request::parse(bad).unwrap_err().contains("bad engine"));
+        for engine in ["turbo", "native"] {
+            let bad = format!(
+                "{{\"op\": \"run\", \"id\": 1, \"source\": \"\", \"n\": 8, \
+                 \"engine\": \"{engine}\"}}"
+            );
+            let err = Request::parse(&bad).unwrap_err();
+            assert!(err.contains(&format!("bad engine \"{engine}\"")), "{err}");
+        }
     }
 
     #[test]

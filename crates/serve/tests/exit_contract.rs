@@ -36,7 +36,7 @@ const TOOLS: &[&str] = &[
 
 /// Tools that take `--engine`: an unknown value is a usage error (exit
 /// 2) naming the valid engines, and `--help` documents the flag.
-const ENGINE_TOOLS: &[&str] = &["runbench", "fig4", "fig5", "servebench"];
+const ENGINE_TOOLS: &[&str] = &["psimcc", "fig4", "fig5", "servebench"];
 
 /// Tools that take `--target`: an unknown value (or a missing one) is a
 /// usage error (exit 2) naming the valid targets, and `--help` documents
@@ -111,7 +111,11 @@ fn unknown_engine_values_exit_two_and_help_names_the_engines() {
             eprintln!("exit_contract: {tool} not built in this invocation, skipping");
             continue;
         };
-        for args in [&["--engine", "turbo"][..], &["--engine"][..]] {
+        for args in [
+            &["--engine", "turbo"][..],
+            &["--engine", "native"][..],
+            &["--engine"][..],
+        ] {
             let out = Command::new(&path).args(args).output().expect("run");
             assert_eq!(
                 out.status.code(),
@@ -126,7 +130,7 @@ fn unknown_engine_values_exit_two_and_help_names_the_engines() {
             .expect("run");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
-            stderr.contains("fast") && stderr.contains("native"),
+            stderr.contains("fast") && stderr.contains("reference"),
             "{tool} must name the valid engines on a bad value: {stderr:?}"
         );
         let help = Command::new(&path).arg("--help").output().expect("run");
@@ -134,6 +138,30 @@ fn unknown_engine_values_exit_two_and_help_names_the_engines() {
         assert!(
             stdout.contains("--engine"),
             "{tool} --help must document --engine: {stdout:?}"
+        );
+    }
+}
+
+#[test]
+fn flags_outside_the_contract_exit_two() {
+    // runbench always times fast against reference, and fig5 prints its
+    // per-target table under --target-matrix: none of these is a flag.
+    let cases: &[(&str, &[&str])] = &[
+        ("runbench", &["--engine", "fast"]),
+        ("runbench", &["--min-speedup", "1.2"]),
+        ("fig5", &["--avx2"]),
+    ];
+    for (tool, args) in cases {
+        let Some(path) = bin(tool) else {
+            eprintln!("exit_contract: {tool} not built in this invocation, skipping");
+            continue;
+        };
+        let out = Command::new(&path).args(*args).output().expect("run");
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{tool} {args:?} must be a usage error (stderr: {})",
+            String::from_utf8_lossy(&out.stderr)
         );
     }
 }

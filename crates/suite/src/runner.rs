@@ -57,10 +57,6 @@ pub struct RunResult {
     /// Cycle-attribution profile; `Some` only under the `_profiled` entry
     /// points.
     pub profile: Option<Profile>,
-    /// Native-tier blocks that dynamically fell back to the exact path
-    /// (always 0 for the fast and reference engines). Not part of the
-    /// engine-identity contract — it describes the native tier itself.
-    pub native_bailouts: u64,
 }
 
 /// Allocates and initializes one workload buffer in `mem` according to its
@@ -271,9 +267,8 @@ pub fn run_module_engine(
 }
 
 /// Like [`run_module_engine`] with a shared [`PlanCache`] attached, so
-/// repeated runs of the same module amortize plan construction (frame
-/// plans, and through them the native tier's lowering) exactly as the
-/// serving path does. `module_id` must identify the module and cost model
+/// repeated runs of the same module amortize frame-plan construction
+/// exactly as the serving path does. `module_id` must identify the module and cost model
 /// within the cache.
 ///
 /// # Errors
@@ -334,7 +329,6 @@ fn run_module_engine_inner(
         cycles: it.cycles,
         outputs,
         stats: it.stats,
-        native_bailouts: it.native_bailouts(),
         profile: it.take_profile(),
     })
 }

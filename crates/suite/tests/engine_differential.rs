@@ -1,11 +1,9 @@
-//! Engine differential: the fast (`FramePlan`) engine, the retained
-//! reference engine, and the native tier (fused block kernels with
-//! bailout) must agree byte-for-byte on simulated cycles, checked
+//! Engine differential: the fast (`FramePlan`) engine and the retained
+//! reference engine must agree byte-for-byte on simulated cycles, checked
 //! outputs, execution statistics, and profile JSON — across every suite
 //! kernel, across gang-size sweep variants, and on pipeline-degraded
 //! (fault-injected, scalar-fallback) modules. This is the identity
-//! contract the precompiled-plan and native-tier optimizations are
-//! allowed to exist under.
+//! contract the precompiled-plan optimization is allowed to exist under.
 
 use parsimony::{
     vectorize_module_with, FaultInjector, PipelineOptions, VectorizeOptions, VerifyMode,
@@ -16,9 +14,9 @@ use suite::simdlib::kernels as simd_kernels;
 use suite::Kernel;
 use vmach::{Target, TargetCost};
 
-/// Runs `module` over `k`'s workload under all three engines (profiled,
-/// so the classed-cost attribution is exercised too) and compares every
-/// observable against the fast engine.
+/// Runs `module` over `k`'s workload under both engines (profiled, so the
+/// classed-cost attribution is exercised too) and compares every
+/// observable.
 fn engines_agree(k: &Kernel, module: &psir::Module, label: &str) -> Result<(), String> {
     engines_agree_on(k, module, label, &Target::reference_default())
 }
@@ -33,36 +31,27 @@ fn engines_agree_on(
     let cost = TargetCost::for_target(target.clone());
     let fast = run_module_engine(module, k, &cost, true, Engine::Fast)
         .map_err(|e| format!("{label}: fast engine: {e}"))?;
-    let fj = fast
-        .profile
-        .as_ref()
-        .map(|p| p.to_json().to_string_pretty());
-    for engine in [Engine::Reference, Engine::Native] {
-        let name = match engine {
-            Engine::Reference => "reference",
-            _ => "native",
-        };
-        let other = run_module_engine(module, k, &cost, true, engine)
-            .map_err(|e| format!("{label}: {name} engine: {e}"))?;
-        if fast.cycles != other.cycles {
-            return Err(format!(
-                "{label}: cycles differ: fast {} vs {name} {}",
-                fast.cycles, other.cycles
-            ));
-        }
-        if fast.outputs != other.outputs {
-            return Err(format!("{label}: checked outputs differ vs {name}"));
-        }
-        if fast.stats != other.stats {
-            return Err(format!(
-                "{label}: stats differ: fast {:?} vs {name} {:?}",
-                fast.stats, other.stats
-            ));
-        }
-        let oj = other.profile.map(|p| p.to_json().to_string_pretty());
-        if fj != oj {
-            return Err(format!("{label}: profile JSON differs vs {name}"));
-        }
+    let reference = run_module_engine(module, k, &cost, true, Engine::Reference)
+        .map_err(|e| format!("{label}: reference engine: {e}"))?;
+    if fast.cycles != reference.cycles {
+        return Err(format!(
+            "{label}: cycles differ: fast {} vs reference {}",
+            fast.cycles, reference.cycles
+        ));
+    }
+    if fast.outputs != reference.outputs {
+        return Err(format!("{label}: checked outputs differ"));
+    }
+    if fast.stats != reference.stats {
+        return Err(format!(
+            "{label}: stats differ: fast {:?} vs reference {:?}",
+            fast.stats, reference.stats
+        ));
+    }
+    let fj = fast.profile.map(|p| p.to_json().to_string_pretty());
+    let rj = reference.profile.map(|p| p.to_json().to_string_pretty());
+    if fj != rj {
+        return Err(format!("{label}: profile JSON differs"));
     }
     Ok(())
 }
@@ -134,7 +123,7 @@ fn targets_preserve_outputs_and_engine_identity() {
     // The target sweep of ISSUE 10: the same compiled module, priced on
     // every modeled machine — both fixed-width x86 targets and the
     // scalable target at three vector lengths. Two contracts at once:
-    //   1. per target, all three engines still agree on everything
+    //   1. per target, both engines still agree on everything
     //      (cycles included — they share the target's cost model);
     //   2. across targets, checked outputs are byte-identical to the
     //      reference target's (targets price uops, never touch values).
