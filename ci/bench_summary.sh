@@ -56,16 +56,16 @@ out=$(mktemp)
     # the whole matrix is visible at once). compbench has no target.
     target=$(meta "$f" target)
     gm=$(round2 "$(field "$f" geomean_speedup)")
-    # servebench meta carries the batching knobs; its plan_share section
+    # servebench meta carries the batch size cap; its plan_share section
     # carries the measured batched/unbatched throughput ratio. Both are
     # nested one level deep, same indentation as the meta block.
-    bw=$(meta "$f" batch_window_ms)
-    if [ "$bw" = "-" ]; then
+    mb=$(meta "$f" max_batch)
+    if [ "$mb" = "-" ]; then
       batch="-"
-    elif [ "$bw" = "0" ]; then
+    elif [ "$mb" = "1" ]; then
       batch="off"
     else
-      batch="${bw}ms/$(meta "$f" max_batch)"
+      batch="max $mb"
     fi
     bs=$(meta "$f" batch_speedup)
     [ "$bs" != "-" ] && bs="$(round2 "$bs")x"

@@ -71,15 +71,15 @@ pub const SERVE_ENV_VAR: &str = "PSIM_SERVE_CHAOS";
 /// * `worker:kill` — the worker thread executing the request panics
 ///   mid-request (the pool must survive and the client must get a
 ///   structured error).
-/// * `worker:delay` — a bounded delay inside the worker before
-///   compilation starts.
-/// * `batch:form_delay` — a bounded delay during batch formation, before
-///   the request enters the coalescing window (skews join timing so
-///   window expiry and late joins are exercised).
-/// * `batch:member_cancel` — at batch dissolution, the first member of
-///   every sealed batch has its token cancelled as if its client had
-///   disconnected; that member must detach to a structured `cancelled`
-///   reply without poisoning its batchmates.
+/// * `worker:delay` — a bounded delay inside the worker before its drain
+///   job takes a batch (more requests pile up behind it).
+/// * `batch:form_delay` — a bounded delay during admission, before the
+///   request joins its key's pending list (skews join timing so late
+///   joins and fresh drains are exercised).
+/// * `batch:member_cancel` — once a drain has taken its batch, the first
+///   member has its token cancelled as if its client had disconnected;
+///   that member must detach to a structured `cancelled` reply without
+///   poisoning its batchmates.
 pub const SERVE_SITES: &[(&str, &str)] = &[
     ("conn", "close_before_write"),
     ("conn", "truncate_write"),

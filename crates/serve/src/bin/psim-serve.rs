@@ -6,7 +6,7 @@
 //!            [--deadline-ms MS] [--max-steps N] [--max-mem-bytes BYTES]
 //!            [--max-source-bytes BYTES] [--max-frame-bytes BYTES]
 //!            [--idle-timeout-ms MS] [--frame-timeout-ms MS]
-//!            [--batch-window-ms MS] [--max-batch N]
+//!            [--max-batch N]
 //! ```
 //!
 //! Requests may carry their own `deadline_ms` / `max_steps` /
@@ -85,12 +85,8 @@ const HELP: Help = Help {
             "close connections whose frame trickles longer than this (default: 30000; 0 = never)",
         ),
         (
-            "--batch-window-ms MS",
-            "coalesce identical-plan runs arriving within this window into one batch (default: 2; 0 = off)",
-        ),
-        (
             "--max-batch N",
-            "members at which a batch seals without waiting out the window (default: 16)",
+            "most identical-plan runs one batch may hold (default: 16; 1 = run each alone)",
         ),
         ("-h, --help", "print this help"),
         (
@@ -105,7 +101,7 @@ fn usage() -> ! {
         "usage: psim-serve [--listen ADDR | --unix PATH] [--workers N] [--queue-cap N] \
          [--module-budget BYTES] [--plan-budget BYTES] [--deadline-ms MS] [--max-steps N] \
          [--max-mem-bytes BYTES] [--max-source-bytes BYTES] [--max-frame-bytes BYTES] \
-         [--idle-timeout-ms MS] [--frame-timeout-ms MS] [--batch-window-ms MS] [--max-batch N]"
+         [--idle-timeout-ms MS] [--frame-timeout-ms MS] [--max-batch N]"
     );
     std::process::exit(2);
 }
@@ -118,9 +114,6 @@ fn main() {
     let mut listen = "127.0.0.1:7878".to_string();
     let mut unix: Option<String> = None;
     let mut opts = ServeOptions::default();
-    // The library default keeps batching off (tests exercise the plain
-    // dispatch path); the daemon turns it on unless --batch-window-ms 0.
-    opts.batch.window_ms = 2;
 
     let parse_num = |v: Option<&String>, what: &str| -> usize {
         let Some(v) = v else { usage() };
@@ -203,13 +196,9 @@ fn main() {
                 i += 1;
                 opts.limits.frame_timeout_ms = parse_u64(args.get(i), "--frame-timeout-ms");
             }
-            "--batch-window-ms" => {
-                i += 1;
-                opts.batch.window_ms = parse_u64(args.get(i), "--batch-window-ms");
-            }
             "--max-batch" => {
                 i += 1;
-                opts.batch.max_batch = parse_num(args.get(i), "--max-batch");
+                opts.max_batch = parse_num(args.get(i), "--max-batch");
             }
             other => {
                 eprintln!("psim-serve: unknown flag {other}");

@@ -3,7 +3,6 @@
 //! ```text
 //! servebench [--clients N] [--n N] [--hot-iters K] [--check]
 //!            [--engine fast|reference]
-//!            [--batch-window-ms MS] [--max-batch N]
 //!            [--min-speedup X] [--min-batch-speedup X]
 //!            [--json[=FILE]] [--baseline FILE]
 //! servebench --chaos [--json[=FILE]]
@@ -20,10 +19,8 @@
 //! * `--min-speedup X` — with `--check`, also require the hot-over-cold
 //!   geomean speedup to be at least X (the cache-effectiveness gate).
 //! * `--min-batch-speedup X` — require the plan-share phase's
-//!   client-observed throughput ratio (batching on over off) to be at
-//!   least X (the batching-effectiveness gate).
-//! * `--batch-window-ms MS` / `--max-batch N` — the server's batching
-//!   knobs for the run (window 0 disables the tier; default: 2 ms / 16).
+//!   client-observed throughput ratio (batches of up to `max_batch` over
+//!   batches of one) to be at least X (the batching-effectiveness gate).
 //! * `--engine E` — tag every request (and the single-shot references)
 //!   with the given execution engine (default: fast).
 //! * `--json` — print the JSON report on stdout; `--json=FILE` writes it
@@ -71,14 +68,6 @@ const HELP: Help = Help {
             "costing target for every request: x86-avx512 (default), x86-avx2, or sve-vla[:VL]",
         ),
         (
-            "--batch-window-ms MS",
-            "server batching window for the run (default: 2; 0 = batching off)",
-        ),
-        (
-            "--max-batch N",
-            "members at which a batch seals without waiting out the window (default: 16)",
-        ),
-        (
             "--min-speedup X",
             "with --check, require hot/cold geomean speedup >= X",
         ),
@@ -103,7 +92,6 @@ fn usage() -> ! {
     eprintln!(
         "usage: servebench [--clients N] [--n N] [--hot-iters K] [--check] \
          [--engine fast|reference] [--target x86-avx512|x86-avx2|sve-vla[:VL]] \
-         [--batch-window-ms MS] [--max-batch N] \
          [--min-speedup X] [--min-batch-speedup X] [--json[=FILE]] [--baseline FILE] \
          | servebench --chaos [--json[=FILE]]"
     );
@@ -190,23 +178,6 @@ fn main() {
                         usage();
                     }
                 }
-            }
-            "--batch-window-ms" => {
-                i += 1;
-                let Some(v) = args.get(i) else { usage() };
-                match v.parse::<u64>() {
-                    Ok(ms) => cfg.opts.batch.window_ms = ms,
-                    Err(_) => {
-                        eprintln!(
-                            "servebench: --batch-window-ms takes a non-negative integer, got {v:?}"
-                        );
-                        usage();
-                    }
-                }
-            }
-            "--max-batch" => {
-                i += 1;
-                cfg.opts.batch.max_batch = parse_usize(args.get(i), "--max-batch");
             }
             "--min-speedup" => {
                 i += 1;

@@ -23,7 +23,6 @@
 //! (module, function, cost model), and the key identifies the module,
 //! the configuration, *and* the target the cost model came from.
 
-use crate::batch::BatchConfig;
 use crate::cache::{CompiledModule, ModuleCache};
 use crate::chaos::ChaosSpec;
 use crate::hashing::request_key;
@@ -100,10 +99,9 @@ pub struct ServeOptions {
     pub plan_budget: usize,
     /// Resource limits and socket timeouts.
     pub limits: ServeLimits,
-    /// Request batching knobs (the coalescing tier). The library default
-    /// disables batching; the daemon and `servebench` enable it by
-    /// default through their own flag defaults.
-    pub batch: BatchConfig,
+    /// Most members one batch may hold (the batching tier's only knob;
+    /// 1 runs every request alone).
+    pub max_batch: usize,
     /// Armed chaos injection (strictly opt-in; `None` in production
     /// unless `PSIM_SERVE_CHAOS` is set).
     pub chaos: Option<ChaosSpec>,
@@ -119,7 +117,7 @@ impl Default for ServeOptions {
             module_budget: 64 << 20,
             plan_budget: 64 << 20,
             limits: ServeLimits::default(),
-            batch: BatchConfig::default(),
+            max_batch: 16,
             chaos: None,
         }
     }
@@ -230,8 +228,8 @@ impl ServeState {
     }
 
     /// Serves one request under explicit limits and an optional
-    /// cancellation token (the daemon's path). Budgets are *runtime*
-    /// knobs: they are deliberately not part of the cache key, so the same
+    /// cancellation token: a batch of one. Budgets are *runtime* knobs:
+    /// they are deliberately not part of the cache key, so the same
     /// source served under different budgets shares one compiled module.
     ///
     /// # Errors
@@ -244,59 +242,11 @@ impl ServeState {
         limits: &ServeLimits,
         cancel: Option<&CancelToken>,
     ) -> Result<RunResponse, ServeError> {
-        if req.source.len() as u64 > limits.max_source_bytes {
-            return Err(ServeError::ResourceExhausted {
-                what: "source_bytes".into(),
-                detail: format!(
-                    "source is {} bytes, {} allowed",
-                    req.source.len(),
-                    limits.max_source_bytes
-                ),
-            });
-        }
-        // A request that is already cancelled or past its deadline skips
-        // the (uncancellable) compile phase entirely — a queued request
-        // whose deadline passed while it waited costs nothing further.
-        if let Some(tok) = cancel {
-            check_token(tok)?;
-        }
-        let key = request_key(
-            &req.source,
-            req.mode.name(),
-            &req.verify,
-            &req.inject,
-            req.engine.flag_name(),
-            &req.target.flag_name(),
-        );
-        let t = Instant::now();
-        let (cm, module_hit) = match self.modules.get(key) {
-            Some(cm) => (cm, true),
-            None => {
-                let cm = compile_uncached(req, key).map_err(ServeError::Error)?;
-                (self.modules.insert(cm), false)
-            }
-        };
-        let compile_nanos = if module_hit {
-            0
-        } else {
-            t.elapsed().as_nanos() as u64
-        };
-        let budget = RunBudget::effective(limits, req);
-        let cost = TargetCost::for_target(req.target.clone());
-        let mut resp = execute(
-            &cm,
-            req,
-            &cost,
-            Some((&self.plans, key)),
-            Some(&budget),
-            cancel,
-        )?;
-        resp.cache.module_hit = module_hit;
-        resp.compile_nanos = compile_nanos;
-        Ok(resp)
+        let mut out = self.run_batch_with(&[(req, cancel)], limits);
+        out.pop().expect("one result per member")
     }
 
-    /// Serves a sealed batch of coalesced requests — one cache lookup,
+    /// Serves a batch of coalesced requests — one cache lookup,
     /// one compile (at most), one interpreter arena for every member.
     /// Members share a [`batch_key`](crate::hashing::batch_key), so they
     /// agree on module, entry, gang configuration, and budget triple; the
@@ -317,8 +267,11 @@ impl ServeState {
         let mut out: Vec<Option<Result<RunResponse, ServeError>>> =
             members.iter().map(|_| None).collect();
         // Source admission per member: batch keys hash the *canonicalized*
-        // source, so raw lengths may differ across members.
-        for (slot, (req, _)) in out.iter_mut().zip(members) {
+        // source, so raw lengths may differ across members. A member that
+        // is already cancelled or past its deadline is answered here too,
+        // so a batch whose members all expired while queued skips the
+        // (uncancellable) compile phase entirely.
+        for (slot, (req, cancel)) in out.iter_mut().zip(members) {
             if req.source.len() as u64 > limits.max_source_bytes {
                 *slot = Some(Err(ServeError::ResourceExhausted {
                     what: "source_bytes".into(),
@@ -328,6 +281,8 @@ impl ServeState {
                         limits.max_source_bytes
                     ),
                 }));
+            } else if let Some(Err(e)) = cancel.map(check_token) {
+                *slot = Some(Err(e));
             }
         }
         // Resolve the shared module once, compiling through the first
@@ -377,15 +332,17 @@ impl ServeState {
         let mut it = Interp::new(&cm.module, Memory::default(), &cost, &EXTERNS);
         it.set_plan_cache(Arc::clone(&self.plans), key);
         // Input-arena sharing: the first member to fill its workload
-        // buffers leaves an image behind, and every later member with the
-        // *identical* buffer-spec list restores it instead of re-running
-        // the seeded per-element fills — one memcpy replaces the RNG. The
-        // fills are deterministic functions of the specs, so the restored
-        // arena is byte-for-byte the one a fresh fill would produce.
+        // buffers leaves an image behind when a later member has the
+        // *identical* buffer-spec list, and that member restores it instead
+        // of re-running the seeded per-element fills — one memcpy replaces
+        // the RNG. The fills are deterministic functions of the specs, so
+        // the restored arena is byte-for-byte the one a fresh fill would
+        // produce. A member no later one can reuse (a singleton batch, say)
+        // takes no image.
         let mut inputs: Option<InputSnapshot> = None;
         let mut first = true;
-        for (slot, (req, cancel)) in out.iter_mut().zip(members) {
-            if slot.is_some() {
+        for (i, (req, cancel)) in members.iter().enumerate() {
+            if out[i].is_some() {
                 continue;
             }
             if !first {
@@ -393,14 +350,25 @@ impl ServeState {
                 it.reset_run();
             }
             first = false;
+            let reused_later = || {
+                members[i + 1..]
+                    .iter()
+                    .zip(&out[i + 1..])
+                    .any(|((later, _), slot)| slot.is_none() && later.buffers == req.buffers)
+            };
+            let snap = if inputs.is_some() || reused_later() {
+                Some(&mut inputs)
+            } else {
+                None
+            };
             let result = match cancel.map_or(Ok(()), check_token) {
                 Err(e) => Err(e),
                 Ok(()) => {
                     let budget = RunBudget::effective(limits, req);
-                    run_member(&mut it, &cm, req, Some(&budget), *cancel, Some(&mut inputs))
+                    run_member(&mut it, &cm, req, Some(&budget), *cancel, snap)
                 }
             };
-            *slot = Some(result.map(|mut resp| {
+            out[i] = Some(result.map(|mut resp| {
                 resp.cache.module_hit = module_hit;
                 resp.compile_nanos = compile_nanos;
                 resp
@@ -519,27 +487,6 @@ fn map_exec_error(
     }
 }
 
-/// Executes a compiled module over a request's workload on the request's
-/// engine. `plans` attaches the shared plan cache (the cached serve path);
-/// `None` is the single-shot path. `budget`/`cancel` attach resource
-/// limits and cooperative cancellation; both `None` reproduces the
-/// pre-budget behavior bit for bit (nothing is configured on the
-/// interpreter at all).
-fn execute(
-    cm: &CompiledModule,
-    req: &RunRequest,
-    cost: &TargetCost,
-    plans: Option<(&Arc<PlanCache>, u64)>,
-    budget: Option<&RunBudget>,
-    cancel: Option<&CancelToken>,
-) -> Result<RunResponse, ServeError> {
-    let mut it = Interp::new(&cm.module, Memory::default(), cost, &EXTERNS);
-    if let Some((cache, module_id)) = plans {
-        it.set_plan_cache(Arc::clone(cache), module_id);
-    }
-    run_member(&mut it, cm, req, budget, cancel, None)
-}
-
 /// The lead batch member's initialized input arena: its buffer-spec list,
 /// the buffer base addresses, and the filled-arena image. Batchmates with
 /// an identical spec list restore the image instead of refilling.
@@ -550,10 +497,10 @@ struct InputSnapshot {
 }
 
 /// Runs one request on a prepared interpreter whose memory is fresh (or
-/// freshly [`Memory::reset`]) — the shared tail of the single-request and
-/// batch paths. The arena and resolved plans carry over between batch
-/// members; everything the response depends on is configured here per
-/// member, so a member executed mid-batch is byte-identical to one
+/// freshly [`Memory::reset`]) — the shared tail of the batch path and the
+/// single-shot reference. The arena and resolved plans carry over between
+/// batch members; everything the response depends on is configured here
+/// per member, so a member executed mid-batch is byte-identical to one
 /// executed alone.
 fn run_member(
     it: &mut Interp<'_>,
@@ -677,8 +624,11 @@ pub fn single_shot(req: &RunRequest) -> Result<RunResponse, String> {
     let t = Instant::now();
     let cm = compile_uncached(req, key)?;
     let compile_nanos = t.elapsed().as_nanos() as u64;
+    // A fresh, uncached interpreter with nothing configured beyond the
+    // engine: the reference execution.
     let cost = TargetCost::for_target(req.target.clone());
-    let mut resp = execute(&cm, req, &cost, None, None, None).map_err(|e| e.to_string())?;
+    let mut it = Interp::new(&cm.module, Memory::default(), &cost, &EXTERNS);
+    let mut resp = run_member(&mut it, &cm, req, None, None, None).map_err(|e| e.to_string())?;
     resp.compile_nanos = compile_nanos;
     Ok(resp)
 }

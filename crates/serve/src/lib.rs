@@ -23,14 +23,15 @@
 //! response (never a silent drop). Degraded regions and fault injection
 //! ride along per-request, exactly as on the `psimcc` command line.
 //!
-//! On top of the caches sits the **batching tier** ([`batch`]):
-//! concurrent `run` requests that agree on module, entry, gang
-//! configuration, and budgets are coalesced — within a bounded window —
-//! into one batch that executes back-to-back on a single pre-warmed
-//! interpreter arena, resolving the shared plan once. Responses stay
-//! byte-identical to unbatched runs; a cancelled or budget-exhausted
-//! member detaches to its structured error without poisoning its
-//! batchmates. See `DESIGN.md` §16.
+//! On top of the caches sits the **batching tier** ([`batch`]), the
+//! only dispatch path for `run` requests: requests that agree on module,
+//! entry, gang configuration, and budgets and pile up while the workers
+//! are busy are drained together, group-commit style, into one batch
+//! that executes back-to-back on a single pre-warmed interpreter arena,
+//! resolving the shared plan once. An idle server adds no wait. Responses
+//! stay byte-identical to single-shot runs; a cancelled or
+//! budget-exhausted member detaches to its structured error without
+//! poisoning its batchmates. See `DESIGN.md` §15.
 //!
 //! See `DESIGN.md` §13 for the architecture and the README's *Serving*
 //! section for a copy-paste client session.
@@ -48,7 +49,7 @@ pub mod request;
 pub mod servebench;
 pub mod server;
 
-pub use batch::{Batch, BatchConfig, BatchCounters, Coalescer};
+pub use batch::{BatchCounters, Coalescer};
 pub use cache::{CompiledModule, ModuleCache, ModuleCacheStats};
 pub use chaos::{ChaosSpec, CHAOS_DELAY};
 pub use client::Client;

@@ -149,16 +149,12 @@ pub struct ServeBenchConfig {
     /// references price against).
     pub target: vmach::Target,
     /// Server sizing (workers, queue bound, cache budgets) plus the
-    /// batching knobs (`opts.batch`).
+    /// batch size cap (`opts.max_batch`).
     pub opts: ServeOptions,
 }
 
 impl Default for ServeBenchConfig {
     fn default() -> ServeBenchConfig {
-        let mut opts = ServeOptions::default();
-        // Unlike the library default (off), servebench measures the
-        // serving configuration the daemon ships with: batching on.
-        opts.batch.window_ms = 2;
         ServeBenchConfig {
             clients: 8,
             n: 1024,
@@ -166,7 +162,7 @@ impl Default for ServeBenchConfig {
             check: false,
             engine: psir::Engine::Fast,
             target: vmach::Target::reference_default(),
-            opts,
+            opts: ServeOptions::default(),
         }
     }
 }
@@ -196,8 +192,7 @@ impl ServeBenchRow {
     }
 
     /// Cold client-observed wall time minus server-reported service
-    /// time: queue wait, batching-window wait, and transport, in
-    /// nanoseconds.
+    /// time: queue wait and transport, in nanoseconds.
     pub fn cold_queue_nanos(&self) -> u64 {
         self.cold_nanos.saturating_sub(self.cold_serve_nanos)
     }
@@ -235,7 +230,7 @@ pub struct ServeBenchReport {
     /// 99th percentile hot latency.
     pub hot_p99: u64,
     /// Median cold queue-wait (client wall minus server service time:
-    /// queue, batching window, transport), nanoseconds.
+    /// queue and transport), nanoseconds.
     pub cold_queue_p50: u64,
     /// 99th percentile cold queue-wait.
     pub cold_queue_p99: u64,
@@ -247,9 +242,7 @@ pub struct ServeBenchReport {
     pub engine: psir::Engine,
     /// Costing target the workload was priced against.
     pub target: vmach::Target,
-    /// Batching knobs the server ran with (window 0 = tier off).
-    pub batch_window_ms: u64,
-    /// Members per batch at which a batch seals early.
+    /// Most members one batch could hold on the server.
     pub max_batch: usize,
     /// The plan-sharing batching phase (full [`run`]s only; [`run_items`]
     /// leaves it out).
@@ -312,7 +305,6 @@ impl ServeBenchReport {
                         ),
                         ("engine", Json::Str(self.engine.flag_name().into())),
                         ("target", Json::Str(self.target.flag_name())),
-                        ("batch_window_ms", Json::u64(self.batch_window_ms)),
                         ("max_batch", Json::u64(self.max_batch as u64)),
                         ("retries", Json::u64(self.retries)),
                     ],
@@ -381,9 +373,8 @@ impl ServeBenchReport {
             self.hot_queue_p99 as f64 / 1e6
         ));
         out.push_str(&format!(
-            "  engine / batching  : {} / window {} ms, max {}\n",
+            "  engine / batching  : {} / max {}\n",
             self.engine.flag_name(),
-            self.batch_window_ms,
             self.max_batch
         ));
         out.push_str(&format!(
@@ -415,9 +406,10 @@ impl ServeBenchReport {
 }
 
 /// Result of the plan-sharing batching phase: the same synchronized
-/// identical-request workload driven twice — batching as configured vs
-/// batching off — against fresh servers, reporting client-observed
-/// throughput for both legs and the batch counters of the on leg.
+/// identical-request workload driven twice — batches of up to
+/// `max_batch` vs batches of one — against fresh servers, reporting
+/// client-observed throughput for both legs and the batch counters of
+/// the on leg.
 #[derive(Debug, Clone)]
 pub struct PlanShareReport {
     /// Client threads (same as the main phase's client count); each
@@ -429,15 +421,12 @@ pub struct PlanShareReport {
     pub rounds: usize,
     /// Measured legs per side; reported throughput is the median.
     pub legs: usize,
-    /// Coalescing window of the on leg (0 = the leg ran unbatched too).
-    pub window_ms: u64,
-    /// `max_batch` of the on leg (clamped to the client count so a full
-    /// wave seals by fill rather than window expiry).
+    /// `max_batch` of the on leg; the off leg runs with `max_batch = 1`.
     pub max_batch: usize,
     /// Client-observed throughput with batching on, requests/second
     /// (median across the measured legs).
     pub on_rps: f64,
-    /// Client-observed throughput with batching off, requests/second
+    /// Client-observed throughput with batches of one, requests/second
     /// (median across the measured legs).
     pub off_rps: f64,
     /// Batches the on-leg server formed.
@@ -448,8 +437,6 @@ pub struct PlanShareReport {
     pub coalesced_requests: u64,
     /// Largest on-leg batch.
     pub max_batch_size: u64,
-    /// On-leg batches sealed by window expiry instead of by fill.
-    pub window_timeouts: u64,
     /// Identity/transport failures from both legs (merged into the main
     /// report's failures, so `--check` gates them).
     pub failures: Vec<String>,
@@ -461,7 +448,7 @@ impl PlanShareReport {
         self.on_rps / self.off_rps.max(f64::MIN_POSITIVE)
     }
 
-    /// Mean members per sealed batch on the on leg.
+    /// Mean members per batch on the on leg.
     pub fn mean_batch_size(&self) -> f64 {
         self.batched_requests as f64 / self.batches_formed.max(1) as f64
     }
@@ -473,7 +460,6 @@ impl PlanShareReport {
             ("fan", Json::u64(self.fan as u64)),
             ("rounds", Json::u64(self.rounds as u64)),
             ("legs", Json::u64(self.legs as u64)),
-            ("window_ms", Json::u64(self.window_ms)),
             ("max_batch", Json::u64(self.max_batch as u64)),
             ("batch_on_rps", Json::Num(self.on_rps)),
             ("batch_off_rps", Json::Num(self.off_rps)),
@@ -483,7 +469,6 @@ impl PlanShareReport {
             ("coalesced_requests", Json::u64(self.coalesced_requests)),
             ("mean_batch_size", Json::Num(self.mean_batch_size())),
             ("max_batch_size", Json::u64(self.max_batch_size)),
-            ("window_timeouts", Json::u64(self.window_timeouts)),
         ])
     }
 
@@ -492,7 +477,7 @@ impl PlanShareReport {
         format!(
             "  plan-share phase   : {:>10.0} rps batched, {:>10.0} rps unbatched ({:.2}x, \
              {} threads x {} conns)\n  \
-               batches            : {} formed, {:.1} mean / {} max members, {} coalesced, {} window timeout(s)\n",
+               batches            : {} formed, {:.1} mean / {} max members, {} coalesced\n",
             self.on_rps,
             self.off_rps,
             self.speedup(),
@@ -502,7 +487,6 @@ impl PlanShareReport {
             self.mean_batch_size(),
             self.max_batch_size,
             self.coalesced_requests,
-            self.window_timeouts,
         )
     }
 }
@@ -581,8 +565,8 @@ fn plan_share_request(id: u64) -> RunRequest {
 
 /// Drives the plan-sharing workload — every connection submitting the
 /// *same* request, pipelined [`PLAN_SHARE_FAN`] deep per client thread —
-/// twice: once with the configured batching and once with the tier
-/// disabled, each against a fresh server. Every response is
+/// twice: once with the configured batch cap and once with
+/// `max_batch = 1`, each against a fresh server. Every response is
 /// identity-checked against an uncached [`single_shot`] run (after the
 /// clock stops, so verification cost never pollutes the throughput
 /// comparison), so the phase is also an identity gate for the batched
@@ -598,12 +582,9 @@ pub fn run_plan_share(cfg: &ServeBenchConfig) -> Result<PlanShareReport, String>
     let expected = single_shot(&req)
         .map(|r| r.identity())
         .map_err(|e| format!("plan-share single-shot reference: {e}"))?;
-    let mut on = cfg.opts.clone();
-    // Never let batches outgrow the in-flight population, so every batch
-    // can seal by fill rather than window expiry.
-    on.batch.max_batch = on.batch.max_batch.min(cfg.clients * PLAN_SHARE_FAN).max(1);
+    let on = cfg.opts.clone();
     let mut off = on.clone();
-    off.batch.window_ms = 0;
+    off.max_batch = 1;
     let mut failures = Vec::new();
     let mut on_runs: Vec<f64> = Vec::new();
     let mut off_runs: Vec<f64> = Vec::new();
@@ -649,15 +630,13 @@ pub fn run_plan_share(cfg: &ServeBenchConfig) -> Result<PlanShareReport, String>
         fan: PLAN_SHARE_FAN,
         rounds: PLAN_SHARE_ROUNDS,
         legs: PLAN_SHARE_LEGS,
-        window_ms: on.batch.window_ms,
-        max_batch: on.batch.max_batch,
+        max_batch: on.max_batch,
         on_rps: median(&mut on_runs),
         off_rps: median(&mut off_runs),
         batches_formed: counter("batches_formed"),
         batched_requests: counter("batched_requests"),
         coalesced_requests: counter("coalesced_requests"),
         max_batch_size: max_counter("max_batch_size"),
-        window_timeouts: counter("window_timeouts"),
         failures,
     })
 }
@@ -684,11 +663,7 @@ fn plan_share_leg(
     expected: &str,
 ) -> Result<(f64, Json, Vec<String>), String> {
     use std::io::{BufRead, BufReader, Write};
-    let leg = if opts.batch.window_ms > 0 {
-        "on"
-    } else {
-        "off"
-    };
+    let leg = if opts.max_batch > 1 { "on" } else { "off" };
     let fan = PLAN_SHARE_FAN;
     let mut opts = opts.clone();
     opts.queue_cap = opts.queue_cap.max(cfg.clients * fan * 2 + 16);
@@ -1019,8 +994,7 @@ pub fn run_items(cfg: &ServeBenchConfig, items: &[WorkItem]) -> Result<ServeBenc
         hot_queue_p99: percentile(&hot_queues, 0.99),
         engine: cfg.engine,
         target: cfg.target.clone(),
-        batch_window_ms: cfg.opts.batch.window_ms,
-        max_batch: cfg.opts.batch.max_batch,
+        max_batch: cfg.opts.max_batch,
         plan_share: None,
         rows,
         requests,
@@ -1358,15 +1332,15 @@ pub fn run_chaos() -> Result<ChaosReport, String> {
     for &(layer, site) in SERVE_SITES {
         let spec = format!("{layer}:{site}");
         let chaos = ChaosSpec::parse(&spec)?;
-        let mut opts = ServeOptions {
+        // Every request goes through the coalescer, so the `batch:*`
+        // sites sit on the probed path (a lone request is a singleton
+        // batch).
+        let opts = ServeOptions {
             workers: 2,
             queue_cap: 8,
             chaos: Some(chaos.clone()),
             ..ServeOptions::default()
         };
-        // Batching on, so the `batch:*` sites sit on the probed path
-        // (every request becomes a singleton batch at worst).
-        opts.batch.window_ms = 2;
         let server = serve_tcp("127.0.0.1:0", &opts).map_err(|e| format!("{spec}: bind: {e}"))?;
         let mut client = Client::connect_with_timeout(&server.addr, Duration::from_secs(10))
             .map_err(|e| format!("{spec}: connect: {e}"))?;

@@ -3,15 +3,17 @@
 //!
 //! One [`ServeState`] (both cache tiers) and one [`Executor`] (the
 //! work-stealing pool) are shared by every connection. Each connection
-//! gets a reader thread that parses line-delimited requests, submits
-//! `run` jobs to the pool, and writes exactly one response line per
-//! request line, in order — the protocol is strictly request-response
-//! per connection, so clients can never observe reordering.
+//! gets a reader thread that parses line-delimited requests, queues each
+//! `run` in the batching tier's coalescer (whose drain jobs run on the
+//! pool), and writes exactly one response line per request line, in
+//! order — the protocol is strictly request-response per connection, so
+//! clients can never observe reordering.
 //!
-//! Admission control: when the pool's bounded queue is full, the
-//! connection immediately receives an `overloaded` response for that
-//! request. Nothing is ever silently dropped; a malformed line yields an
-//! `error` response and the connection stays usable.
+//! Admission control: when the pool's bounded queue is full, a drain job
+//! is refused and every request pending under its batch key immediately
+//! receives an `overloaded` response. Nothing is ever silently dropped; a
+//! malformed line yields an `error` response and the connection stays
+//! usable.
 //!
 //! Hardening (PR 7, see `DESIGN.md` §14):
 //!
@@ -36,7 +38,7 @@
 //!   the sweep harness (`servebench --chaos`) asserts every site yields
 //!   a structured error or clean close, never a hang or a wrong answer.
 
-use crate::batch::{BatchConfig, Coalescer};
+use crate::batch::Coalescer;
 use crate::chaos::{maybe_delay, ChaosSpec};
 use crate::engine::{RunBudget, ServeError, ServeLimits, ServeOptions, ServeState};
 use crate::executor::{Executor, ExecutorConfig};
@@ -73,12 +75,11 @@ struct Lifecycle {
     conns_reaped: AtomicU64,
 }
 
-/// One coalesced `run` request inside an open or sealed batch: the
+/// One `run` request pending in the coalescer or running in a batch: the
 /// request itself plus the reply channel and token its connection thread
-/// is waiting on. Whichever thread dispatches the sealed batch answers
-/// every member through its own channel; the member's connection thread
-/// keeps running its usual reply loop (disconnect probing, shutdown
-/// checks) unchanged.
+/// is waiting on. The drain job that takes the member answers it through
+/// its own channel; the member's connection thread keeps running its
+/// usual reply loop (disconnect probing, shutdown checks) meanwhile.
 struct BatchMember {
     run: Box<RunRequest>,
     token: CancelToken,
@@ -89,10 +90,8 @@ struct ServerShared {
     state: ServeState,
     executor: Arc<Executor>,
     limits: ServeLimits,
-    batch_cfg: BatchConfig,
-    /// The batching tier; `None` when the window is 0 (tier disabled) —
-    /// dispatch is then per-request, exactly as before the tier existed.
-    coalescer: Option<Coalescer<BatchMember>>,
+    /// The batching tier: every `run` request is dispatched through it.
+    coalescer: Coalescer<BatchMember>,
     chaos: Option<ChaosSpec>,
     stopping: AtomicBool,
     requests: AtomicU64,
@@ -157,21 +156,16 @@ impl ServerShared {
                 ),
             ]),
         ));
-        let batch = self.coalescer.as_ref().map(|c| &c.counters);
-        let bc = |f: fn(&crate::batch::BatchCounters) -> &AtomicU64| {
-            Json::u64(batch.map_or(0, |c| f(c).load(Ordering::Relaxed)))
-        };
+        let b = &self.coalescer.counters;
+        let n = |c: &AtomicU64| Json::u64(c.load(Ordering::Relaxed));
         fields.push((
             "batch".into(),
             Json::obj(vec![
-                ("enabled", Json::Bool(batch.is_some())),
-                ("window_ms", Json::u64(self.batch_cfg.window_ms)),
-                ("max_batch", Json::u64(self.batch_cfg.max_batch as u64)),
-                ("batches_formed", bc(|c| &c.batches_formed)),
-                ("batched_requests", bc(|c| &c.batched_requests)),
-                ("coalesced_requests", bc(|c| &c.coalesced_requests)),
-                ("max_batch_size", bc(|c| &c.max_batch_size)),
-                ("window_timeouts", bc(|c| &c.window_timeouts)),
+                ("max_batch", Json::u64(self.coalescer.max_batch() as u64)),
+                ("batches_formed", n(&b.batches_formed)),
+                ("batched_requests", n(&b.batched_requests)),
+                ("coalesced_requests", n(&b.coalesced_requests)),
+                ("max_batch_size", n(&b.max_batch_size)),
             ]),
         ));
         fields.push((
@@ -336,8 +330,7 @@ fn make_shared(opts: &ServeOptions) -> Arc<ServerShared> {
             ..ExecutorConfig::default()
         }),
         limits: opts.limits.clone(),
-        batch_cfg: opts.batch,
-        coalescer: (opts.batch.window_ms > 0).then(|| Coalescer::new(opts.batch)),
+        coalescer: Coalescer::new(opts.max_batch),
         chaos: opts.chaos.clone(),
         stopping: AtomicBool::new(false),
         requests: AtomicU64::new(0),
@@ -680,53 +673,11 @@ fn dispatch(shared: &Arc<ServerShared>, line: &str, frames: &mut FrameReader) ->
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
                 .insert(seq, token.clone());
             let (tx, rx) = mpsc::channel();
-            let cleanup = |shared: &ServerShared| {
-                shared
-                    .inflight
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .remove(&seq);
-            };
-            if shared.coalescer.is_some() {
-                // Batching tier: hand the request (with its reply channel)
-                // to the coalescer. Every outcome — result, structured
-                // error, even executor overload — arrives through `tx`
-                // from whichever thread dispatches the sealed batch, so
-                // this thread drops straight into the reply loop below.
-                submit_batched(shared, run, token.clone(), tx);
-            } else {
-                let job = {
-                    let shared = Arc::clone(shared);
-                    let token = token.clone();
-                    let tx = tx.clone();
-                    Box::new(move || {
-                        maybe_delay(shared.chaos.as_ref(), "worker", "delay");
-                        if shared
-                            .chaos
-                            .as_ref()
-                            .is_some_and(|c| c.fires("worker", "kill"))
-                        {
-                            panic!("chaos: worker killed mid-request");
-                        }
-                        let resp =
-                            match shared
-                                .state
-                                .run_request_with(&run, &shared.limits, Some(&token))
-                            {
-                                Ok(r) => Response::Ok(Box::new(r)),
-                                Err(e) => serve_error_response(id, e),
-                            };
-                        let _ = tx.send(resp);
-                    }) as Box<dyn FnOnce() + Send>
-                };
-                let abort = Box::new(move || {
-                    let _ = tx.send(Response::ShuttingDown { id });
-                });
-                if shared.executor.submit_with_abort(job, abort).is_err() {
-                    cleanup(shared);
-                    return (Response::Overloaded { id }, false);
-                }
-            }
+            // Every outcome — result, structured error, even executor
+            // overload — arrives through `tx` from whichever thread drains
+            // the member's batch, so this thread drops straight into the
+            // reply loop below.
+            submit_run(shared, run, token.clone(), tx);
             let reply_poll = shared.executor.config().reply_poll;
             let resp = loop {
                 match rx.recv_timeout(reply_poll) {
@@ -743,7 +694,7 @@ fn dispatch(shared: &Arc<ServerShared>, line: &str, frames: &mut FrameReader) ->
                         }
                     }
                     Err(mpsc::RecvTimeoutError::Disconnected) => {
-                        // Both sender clones dropped without a reply: the
+                        // The member was dropped without a reply: its drain
                         // job panicked (contained by the pool).
                         shared
                             .lifecycle
@@ -756,18 +707,20 @@ fn dispatch(shared: &Arc<ServerShared>, line: &str, frames: &mut FrameReader) ->
                     }
                 }
             };
-            cleanup(shared);
+            shared
+                .inflight
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .remove(&seq);
             (resp, false)
         }
     }
 }
 
 /// Admits one `run` request into the batching tier: computes its batch
-/// key, joins (or opens) the coalescer slot for that key, and — when
-/// this call is the one that seals the batch — dispatches it. All
-/// replies flow through the member channels, so the caller always
-/// proceeds to its reply loop regardless of who dispatched.
-fn submit_batched(
+/// key and queues it under that key, scheduling a drain when it is the
+/// first pending member. All replies flow through the member channels.
+fn submit_run(
     shared: &Arc<ServerShared>,
     run: Box<RunRequest>,
     token: CancelToken,
@@ -789,71 +742,74 @@ fn submit_batched(
         run.max_mem_bytes,
     );
     maybe_delay(shared.chaos.as_ref(), "batch", "form_delay");
-    let coalescer = shared.coalescer.as_ref().expect("batching enabled");
-    let Some(batch) = coalescer.submit(key, BatchMember { run, token, tx }) else {
-        // Joined a batch another thread seals and dispatches.
-        return;
-    };
-    if shared
-        .chaos
-        .as_ref()
-        .is_some_and(|c| c.fires("batch", "member_cancel"))
-    {
-        // As if the first member's client vanished at the worst moment:
-        // it must detach to a structured `cancelled` reply without
-        // poisoning its batchmates.
-        batch.members[0].token.cancel(CancelReason::Client);
+    if shared.coalescer.push(key, BatchMember { run, token, tx }) {
+        schedule_drain(shared, key);
     }
-    dispatch_batch(shared, batch.members);
 }
 
-/// Ships one sealed batch to the executor as a single job. The member
-/// reply channels are snapshotted first so refusal (bounded queue full)
-/// and shutdown-abort can still answer every member; the job itself runs
-/// the members back-to-back on one interpreter arena
-/// ([`ServeState::run_batch_with`]) and fans the per-member results back
-/// out through their channels.
-fn dispatch_batch(shared: &Arc<ServerShared>, members: Vec<BatchMember>) {
-    let pairs: Vec<(u64, mpsc::Sender<Response>)> =
-        members.iter().map(|m| (m.run.id, m.tx.clone())).collect();
+/// Schedules one drain job for `key`. If the pool shuts down before the
+/// job starts, every member pending under the key gets `shutting_down`;
+/// if the pool refuses the job (bounded queue full), every one of them
+/// gets `overloaded` — no connection thread is left waiting on a member
+/// nothing will drain.
+fn schedule_drain(shared: &Arc<ServerShared>, key: u64) {
     let job = {
         let shared = Arc::clone(shared);
-        Box::new(move || {
-            maybe_delay(shared.chaos.as_ref(), "worker", "delay");
-            if shared
-                .chaos
-                .as_ref()
-                .is_some_and(|c| c.fires("worker", "kill"))
-            {
-                panic!("chaos: worker killed mid-batch");
-            }
-            let refs: Vec<(&RunRequest, Option<&CancelToken>)> =
-                members.iter().map(|m| (&*m.run, Some(&m.token))).collect();
-            let results = shared.state.run_batch_with(&refs, &shared.limits);
-            for (m, result) in members.iter().zip(results) {
-                let resp = match result {
-                    Ok(r) => Response::Ok(Box::new(r)),
-                    Err(e) => serve_error_response(m.run.id, e),
-                };
-                let _ = m.tx.send(resp);
-            }
-        }) as Box<dyn FnOnce() + Send>
+        Box::new(move || drain(&shared, key)) as Box<dyn FnOnce() + Send>
     };
     let abort = {
-        let pairs = pairs.clone();
+        let shared = Arc::clone(shared);
         Box::new(move || {
-            for (id, tx) in &pairs {
-                let _ = tx.send(Response::ShuttingDown { id: *id });
+            for m in shared.coalescer.take_all(key) {
+                let _ = m.tx.send(Response::ShuttingDown { id: m.run.id });
             }
         })
     };
     if shared.executor.submit_with_abort(job, abort).is_err() {
-        // The executor refused the batch and dropped the job (members
-        // inside); answer each one explicitly so no connection thread is
-        // left waiting on a dead channel.
-        for (id, tx) in pairs {
-            let _ = tx.send(Response::Overloaded { id });
+        for m in shared.coalescer.take_all(key) {
+            let _ = m.tx.send(Response::Overloaded { id: m.run.id });
         }
+    }
+}
+
+/// The drain job: takes the next batch pending under `key`, schedules the
+/// drain for any leftovers first, then runs the members back-to-back on
+/// one interpreter arena ([`ServeState::run_batch_with`]) and fans the
+/// per-member results back out through their channels.
+fn drain(shared: &Arc<ServerShared>, key: u64) {
+    maybe_delay(shared.chaos.as_ref(), "worker", "delay");
+    let (members, more) = shared.coalescer.take(key);
+    if more {
+        schedule_drain(shared, key);
+    }
+    if shared
+        .chaos
+        .as_ref()
+        .is_some_and(|c| c.fires("worker", "kill"))
+    {
+        panic!("chaos: worker killed mid-batch");
+    }
+    if let Some(first) = members.first() {
+        if shared
+            .chaos
+            .as_ref()
+            .is_some_and(|c| c.fires("batch", "member_cancel"))
+        {
+            // As if the first member's client vanished at the worst
+            // moment: it must detach to a structured `cancelled` reply
+            // without poisoning its batchmates.
+            first.token.cancel(CancelReason::Client);
+        }
+    }
+    let refs: Vec<(&RunRequest, Option<&CancelToken>)> =
+        members.iter().map(|m| (&*m.run, Some(&m.token))).collect();
+    let results = shared.state.run_batch_with(&refs, &shared.limits);
+    for (m, result) in members.iter().zip(results) {
+        let resp = match result {
+            Ok(r) => Response::Ok(Box::new(r)),
+            Err(e) => serve_error_response(m.run.id, e),
+        };
+        let _ = m.tx.send(resp);
     }
 }
 

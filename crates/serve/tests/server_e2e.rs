@@ -1,7 +1,10 @@
 //! End-to-end tests of the daemon over real sockets: protocol liveness,
 //! cache behavior across a connection, error recovery, explicit
-//! backpressure, and graceful shutdown.
+//! backpressure, graceful shutdown, and group-commit batching.
 
+mod common;
+
+use common::{hold_worker, out_only_req, stat, wait_pending, VERY_SLOW_SRC};
 use psim_serve::{serve_tcp, serve_unix, Client, Request, Response, RunRequest, ServeOptions};
 use std::time::{Duration, Instant};
 
@@ -184,25 +187,9 @@ fn overload_yields_explicit_backpressure_then_recovers() {
         }
     });
 
-    // Wait until the slow request is admitted (pending >= 1).
+    // Wait until the slow request is admitted.
+    wait_pending(&addr, 1);
     let mut c = Client::connect(&addr).expect("connect probe");
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let Response::Stats { stats, .. } = c.request(&Request::Stats { id: 1 }).expect("stats")
-        else {
-            panic!("stats failed")
-        };
-        let pending = stats
-            .get("admission")
-            .and_then(|a| a.get("pending"))
-            .and_then(telemetry::Json::as_u64)
-            .unwrap_or(0);
-        if pending >= 1 {
-            break;
-        }
-        assert!(Instant::now() < deadline, "slow request never admitted");
-        std::thread::sleep(Duration::from_millis(5));
-    }
 
     // The queue is full: this run is refused, explicitly.
     match c.run(basic_req(200)).expect("send during overload") {
@@ -304,36 +291,6 @@ fn concurrent_clients_share_one_module_compile() {
     assert_eq!(entries, 1, "12 submissions share one compiled module");
     assert!(misses >= 1);
     server.shutdown();
-}
-
-/// A kernel long enough (one gang, 20M iterations) that deadline and
-/// cancellation tests can rely on it still running when they act; it is
-/// only ever run to completion if the machinery under test is broken.
-const VERY_SLOW_SRC: &str = "
-void main(f32* restrict out, i64 n) {
-  psim gang(8) threads(n) {
-    i64 i = psim_thread_num();
-    f32 x = (f32) i;
-    i64 it = 0;
-    while (it < 20000000) {
-      x = x * 1.000001 + 0.5;
-      it += 1;
-    }
-    out[i] = x;
-  }
-}
-";
-
-/// A request with a single output buffer (for the out-only slow kernels).
-fn out_only_req(id: u64, src: &str, n: u64) -> RunRequest {
-    let mut r = RunRequest::new(id, src, n);
-    r.buffers = vec![suite::BufSpec {
-        elem: psir::ScalarTy::F32,
-        len: n,
-        init: suite::Init::Zero,
-        check: true,
-    }];
-    r
 }
 
 fn lifecycle_counter(stats: &telemetry::Json, key: &str) -> u64 {
@@ -493,36 +450,22 @@ fn shutdown_gives_inflight_and_queued_requests_structured_replies() {
     };
     let server = serve_tcp("127.0.0.1:0", &opts).expect("bind");
     let addr = server.addr.clone();
-    let spawn_run = |id: u64| {
+    let spawn_run = |id: u64, n: u64| {
         let addr = addr.clone();
         std::thread::spawn(move || {
             let mut c = Client::connect(&addr).expect("connect");
-            c.run(out_only_req(id, VERY_SLOW_SRC, 8)).expect("reply")
+            c.run(out_only_req(id, VERY_SLOW_SRC, n)).expect("reply")
         })
     };
-    let a = spawn_run(80); // will occupy the single worker
-    let b = spawn_run(81); // will sit in the queue
+    // The first run will occupy the single worker. The second has another
+    // `n`, hence another batch key, so it gets its own drain job, which
+    // sits in the queue (a same-key run would join the first run's
+    // pending list and share its job).
+    let a = spawn_run(80, 8);
+    let b = spawn_run(81, 16);
 
     // Wait until both are inside the pool (one executing, one queued).
-    let mut c = Client::connect(&addr).expect("connect probe");
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let Response::Stats { stats, .. } = c.request(&Request::Stats { id: 82 }).expect("stats")
-        else {
-            panic!("stats failed")
-        };
-        let pending = stats
-            .get("admission")
-            .and_then(|x| x.get("pending"))
-            .and_then(telemetry::Json::as_u64)
-            .unwrap_or(0);
-        if pending >= 2 {
-            break;
-        }
-        assert!(Instant::now() < deadline, "runs never admitted");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    drop(c);
+    wait_pending(&addr, 2);
     server.shutdown();
     // Both the cancelled in-flight run and the aborted queued run get
     // explicit shutting_down replies — nothing hangs, nothing is dropped.
@@ -535,36 +478,34 @@ fn shutdown_gives_inflight_and_queued_requests_structured_replies() {
     }
 }
 
-/// Pulls one counter out of the `stats` response's `batch` object.
-fn batch_counter(stats: &telemetry::Json, name: &str) -> u64 {
-    stats
-        .get("batch")
-        .and_then(|b| b.get(name))
-        .and_then(telemetry::Json::as_u64)
-        .unwrap_or_else(|| panic!("stats.batch.{name} missing"))
-}
-
 #[test]
 fn batching_coalesces_identical_runs_and_the_counters_move() {
-    let mut opts = ServeOptions::default();
-    // A long window so two concurrent submissions reliably overlap; the
-    // pair seals by fill (max_batch 2), not by window expiry.
-    opts.batch.window_ms = 500;
-    opts.batch.max_batch = 2;
+    // One worker, held busy: same-key requests pile up in one pending
+    // list behind it and are drained together when it frees up.
+    let opts = ServeOptions {
+        workers: 1,
+        max_batch: 2,
+        ..ServeOptions::default()
+    };
     let server = serve_tcp("127.0.0.1:0", &opts).expect("bind");
     let expected = psim_serve::single_shot(&basic_req(0))
         .expect("single-shot reference")
         .identity();
 
-    let mut c0 = Client::connect(&server.addr).expect("connect");
-    let addr = server.addr.clone();
-    let other = std::thread::spawn(move || {
-        let mut c = Client::connect(&addr).expect("connect");
-        c.run(basic_req(2)).expect("batched run")
-    });
-    let r1 = c0.run(basic_req(3)).expect("batched run");
-    let r2 = other.join().expect("client thread");
-    for (resp, want) in [(r1, 3), (r2, 2)] {
+    let held = hold_worker(&server.addr, 1000);
+    let runs: Vec<_> = (2..5)
+        .map(|id| {
+            let addr = server.addr.clone();
+            std::thread::spawn(move || {
+                // A member no drain takes would wait forever: time out.
+                let mut c =
+                    Client::connect_with_timeout(&addr, Duration::from_secs(30)).expect("connect");
+                (id, c.run(basic_req(id)).expect("batched run"))
+            })
+        })
+        .collect();
+    for h in runs {
+        let (want, resp) = h.join().expect("client thread");
         let Response::Ok(ok) = resp else {
             panic!("batched run failed: {resp:?}")
         };
@@ -575,40 +516,108 @@ fn batching_coalesces_identical_runs_and_the_counters_move() {
             "batched response byte-identical to single-shot"
         );
     }
+    let held = held.join().expect("held client");
+    assert!(
+        matches!(held, Response::DeadlineExceeded { .. }),
+        "the held run ends at its deadline, got {held:?}"
+    );
 
+    let mut c0 = Client::connect(&server.addr).expect("connect");
     let Response::Stats { stats, .. } = c0.request(&Request::Stats { id: 90 }).expect("stats")
     else {
         panic!("stats failed")
     };
-    assert!(
-        stats
-            .get("batch")
-            .and_then(|b| b.get("enabled"))
-            .is_some_and(|v| matches!(v, telemetry::Json::Bool(true))),
-        "batch tier reports enabled"
-    );
-    assert_eq!(batch_counter(&stats, "batches_formed"), 1);
-    assert_eq!(batch_counter(&stats, "batched_requests"), 2);
-    assert_eq!(batch_counter(&stats, "coalesced_requests"), 1);
-    assert_eq!(batch_counter(&stats, "max_batch_size"), 2);
-    assert_eq!(batch_counter(&stats, "window_timeouts"), 0);
-
-    // A lone request finds no batchmate: its window expires and it ships
-    // as a singleton batch — stalled by at most the window, never lost.
-    let t = Instant::now();
-    let Response::Ok(solo) = c0.run(basic_req(4)).expect("singleton run") else {
-        panic!("singleton run failed")
+    let Some(telemetry::Json::Obj(fields)) = stats.get("batch") else {
+        panic!("stats.batch missing")
     };
-    assert!(
-        t.elapsed() >= Duration::from_millis(500),
-        "waited the window"
+    let names: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(
+        names,
+        [
+            "max_batch",
+            "batches_formed",
+            "batched_requests",
+            "coalesced_requests",
+            "max_batch_size"
+        ],
+        "stats.batch reports the cap and the four counters, nothing else"
     );
-    assert_eq!(solo.identity(), expected);
+    assert_eq!(stat(&stats, &["batch", "max_batch"]), 2);
+    // The held run alone, then two of the three piled-up runs (the cap),
+    // then the leftover one in a later drain.
+    assert_eq!(stat(&stats, &["batch", "batches_formed"]), 3);
+    assert_eq!(stat(&stats, &["batch", "batched_requests"]), 4);
+    assert_eq!(stat(&stats, &["batch", "coalesced_requests"]), 1);
+    assert_eq!(stat(&stats, &["batch", "max_batch_size"]), 2);
+
+    // A lone request on an idle server is drained at once as a
+    // singleton batch: no timer holds it back waiting for a batchmate.
+    let mut best = Duration::MAX;
+    for id in 5..10 {
+        let t = Instant::now();
+        let Response::Ok(solo) = c0.run(basic_req(id)).expect("singleton run") else {
+            panic!("singleton run failed")
+        };
+        best = best.min(t.elapsed());
+        assert_eq!(solo.identity(), expected);
+    }
+    assert!(
+        best < Duration::from_millis(200),
+        "a lone request waited {best:?}"
+    );
     let Response::Stats { stats, .. } = c0.request(&Request::Stats { id: 91 }).expect("stats")
     else {
         panic!("stats failed")
     };
-    assert_eq!(batch_counter(&stats, "batches_formed"), 2);
-    assert_eq!(batch_counter(&stats, "window_timeouts"), 1);
+    assert_eq!(stat(&stats, &["batch", "batches_formed"]), 8);
+    assert_eq!(stat(&stats, &["batch", "coalesced_requests"]), 1);
+    server.shutdown();
+}
+
+#[test]
+fn interleaved_replies_never_cross_connections() {
+    // One worker, two connections sending at once: one connection's
+    // source is refused by the compiler, the other's runs. Every reply
+    // must carry its own request's id and its own request's outcome.
+    let opts = ServeOptions {
+        workers: 1,
+        ..ServeOptions::default()
+    };
+    let server = serve_tcp("127.0.0.1:0", &opts).expect("bind");
+    let expected = psim_serve::single_shot(&basic_req(0))
+        .expect("single-shot reference")
+        .identity();
+    const ROUNDS: u64 = 40;
+    const REFUSED_BASE: u64 = 1 << 40;
+    std::thread::scope(|s| {
+        let addr = &server.addr;
+        let expected = &expected;
+        s.spawn(move || {
+            let mut c = Client::connect(addr).expect("connect");
+            for k in 0..ROUNDS {
+                let mut bad = basic_req(REFUSED_BASE + k);
+                bad.source = "void main( {".into();
+                match c.run(bad).expect("refused run") {
+                    Response::Error { id, message } => {
+                        assert_eq!(id, REFUSED_BASE + k, "error reply carries its own id");
+                        assert!(message.contains("compile"), "its own outcome: {message}");
+                    }
+                    other => panic!("refused source {k} answered with {other:?}"),
+                }
+            }
+        });
+        s.spawn(move || {
+            let mut c = Client::connect(addr).expect("connect");
+            for k in 0..ROUNDS {
+                match c.run(basic_req(k)).expect("valid run") {
+                    Response::Ok(ok) => {
+                        assert_eq!(ok.id, k, "ok reply carries its own id");
+                        assert_eq!(&ok.identity(), expected, "its own outcome");
+                    }
+                    other => panic!("valid source {k} answered with {other:?}"),
+                }
+            }
+        });
+    });
     server.shutdown();
 }

@@ -39,7 +39,12 @@ use crate::Json;
 ///   (`x86-avx512`, `x86-avx2`, `sve-vla[:VL]`; absent = `x86-avx512`)
 ///   that prices the response's simulated cycles and joins the module
 ///   cache key. Default requests stay wire-identical to protocol 3.
-pub const PROTOCOL_VERSION: u64 = 4;
+/// * 5 — dispatch-on-idle batching: there is no coalescing window any
+///   more, so the `stats` response's `batch` object drops the enabled
+///   flag, the window knob and the window-timeout counter, keeping
+///   `max_batch` plus the batches-formed / batched / coalesced / max-size
+///   counters. `run` requests and responses are unchanged.
+pub const PROTOCOL_VERSION: u64 = 5;
 
 /// Every structured failure status a `psim-serve` response can carry.
 /// "Structured" is the robustness contract: whatever goes wrong — budget
