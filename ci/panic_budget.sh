@@ -30,7 +30,7 @@ proptest_compat 2
 psimc 26
 psir 88
 rand_compat 0
-serve 74
+serve 72
 shapecheck 9
 suite 19
 telemetry 18

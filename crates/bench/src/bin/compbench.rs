@@ -1,143 +1,77 @@
 //! `compbench` — compile-time benchmark and determinism gate for the
 //! parallel region driver.
 //!
-//! ```text
-//! compbench [--regions M] [-j N | --jobs N] [--iters K]
-//!           [--check] [--min-speedup X] [--json[=FILE]]
-//! ```
-//!
 //! Synthesizes a module with `M` independent SPMD regions, compiles it with
 //! the pipeline serially and with `N` workers, and reports the wall times,
 //! the speedup ratio, and whether the parallel output (printed module +
 //! canonical remark stream) is byte-identical to the serial one.
 //!
-//! * `--check` — gate mode: exit 1 unless the outputs are identical (and,
-//!   when `--min-speedup X` is given, the measured speedup is at least X).
-//! * `--json` — print the JSON report on stdout instead of the text
-//!   summary; `--json=FILE` writes it to FILE and keeps the text summary
-//!   on stdout (the CI artifact mode).
+//! `--check` is gate mode: exit 1 unless the outputs are identical (and,
+//! when `--min-speedup X` is given, the measured speedup is at least X).
+//! Run `compbench --help` for every flag.
 //!
 //! Exit contract (as for every tool in this repo): 0 success, 1 gate or
 //! pipeline failure, 2 usage error.
 
 use psim_bench::compbench::{run, CompBenchConfig};
-use telemetry::cli::Help;
+use telemetry::cli::{positive, positive_finite, Flag, Help, Meta};
 
 const HELP: Help = Help {
     bin: "compbench",
     about: "Times serial vs parallel region compilation over a synthesized module, gating \
             on byte-identical output and the compile-time speedup.",
-    usage: "[options]",
     flags: &[
-        ("--regions M", "synthesized SPMD region count (default: 64)"),
-        (
-            "-j, --jobs N",
+        Flag::value(
+            &["--regions"],
+            "M",
+            "synthesized SPMD region count (default: 64)",
+        ),
+        Flag::value(
+            &["-j", "--jobs"],
+            "N",
             "parallel worker count (default: available parallelism)",
         ),
-        ("--iters K", "best-of-K wall-clock measurement (default: 3)"),
-        (
-            "--check",
+        Flag::value(
+            &["--iters"],
+            "K",
+            "best-of-K wall-clock measurement (default: 3)",
+        ),
+        Flag::switch(
+            &["--check"],
             "gate: exit 1 unless parallel output is byte-identical",
         ),
-        ("--min-speedup X", "with --check, also require speedup >= X"),
-        ("--json[=FILE]", "emit the JSON report to stdout or FILE"),
-        (
-            "--baseline FILE",
-            "validate FILE's bench-schema/meta against this build",
+        Flag::value(
+            &["--min-speedup"],
+            "X",
+            "with --check, also require speedup >= X",
         ),
-        ("-h, --help", "print this help"),
-        (
-            "-V, --version",
-            "print version, protocol, and toolchain info",
+        Flag::optional(
+            &["--json"],
+            Meta::Name("FILE"),
+            "emit the JSON report to stdout or FILE",
+        ),
+        Flag::value(
+            &["--baseline"],
+            "FILE",
+            "gate on FILE's bench-schema/meta and report shape matching this build",
         ),
     ],
 };
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: compbench [--regions M] [-j N | --jobs N] [--iters K] \
-         [--check] [--min-speedup X] [--json[=FILE]] [--baseline FILE]"
-    );
-    std::process::exit(2);
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    for a in &args {
-        HELP.intercept(a, env!("CARGO_PKG_VERSION"));
-    }
+    let args = HELP.parse(env!("CARGO_PKG_VERSION"));
     let mut cfg = CompBenchConfig::default();
-    let mut check = false;
-    let mut min_speedup: Option<f64> = None;
-    let mut json_out: Option<Option<String>> = None;
-    let mut baseline: Option<String> = None;
-
-    let parse_usize = |v: Option<&String>, what: &str| -> usize {
-        let Some(v) = v else { usage() };
-        match v.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("compbench: {what} takes a positive integer, got {v:?}");
-                usage();
-            }
-        }
-    };
-
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--regions" => {
-                i += 1;
-                cfg.regions = parse_usize(args.get(i), "--regions");
-            }
-            "-j" | "--jobs" => {
-                i += 1;
-                cfg.jobs = parse_usize(args.get(i), "--jobs");
-            }
-            flag if flag.starts_with("--jobs=") => {
-                cfg.jobs = parse_usize(Some(&flag["--jobs=".len()..].to_string()), "--jobs");
-            }
-            "--iters" => {
-                i += 1;
-                cfg.iters = parse_usize(args.get(i), "--iters");
-            }
-            "--check" => check = true,
-            "--min-speedup" => {
-                i += 1;
-                let Some(v) = args.get(i) else { usage() };
-                match v.parse::<f64>() {
-                    Ok(x) if x > 0.0 => min_speedup = Some(x),
-                    _ => {
-                        eprintln!("compbench: --min-speedup takes a positive number, got {v:?}");
-                        usage();
-                    }
-                }
-            }
-            "--json" => json_out = Some(None),
-            flag if flag.starts_with("--json=") => {
-                json_out = Some(Some(flag["--json=".len()..].to_string()));
-            }
-            "--baseline" => {
-                i += 1;
-                let Some(v) = args.get(i) else { usage() };
-                baseline = Some(v.clone());
-            }
-            other => {
-                eprintln!("compbench: unknown flag {other}");
-                usage();
-            }
-        }
-        i += 1;
+    if let Some(regions) = args.value("--regions", positive) {
+        cfg.regions = regions;
     }
-
-    // Reject version/tool skew in the baseline loudly before comparing.
-    if let Some(path) = &baseline {
-        if let Err(e) = psim_bench::check_baseline(path, "compbench") {
-            eprintln!("compbench: GATE FAILED: baseline {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("compbench: baseline {path} schema ok");
+    if let Some(jobs) = args.value("--jobs", positive) {
+        cfg.jobs = jobs;
     }
+    if let Some(iters) = args.value("--iters", positive) {
+        cfg.iters = iters;
+    }
+    let min_speedup = args.value("--min-speedup", positive_finite);
+    let baseline = args.baseline();
 
     let report = match run(&cfg) {
         Ok(r) => r,
@@ -146,21 +80,13 @@ fn main() {
             std::process::exit(1);
         }
     };
-
-    let json = report.to_json().to_string_pretty();
-    match &json_out {
-        Some(None) => println!("{json}"),
-        Some(Some(path)) => {
-            if let Err(e) = std::fs::write(path, format!("{json}\n")) {
-                eprintln!("compbench: cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-            print!("{}", report.render_text());
-        }
-        None => print!("{}", report.render_text()),
+    let json = report.to_json();
+    args.write_report(&json, &report.render_text());
+    if let Some(baseline) = &baseline {
+        baseline.check_shape(&json);
     }
 
-    if check {
+    if args.has("--check") {
         if !report.identical {
             eprintln!(
                 "compbench: GATE FAILED: parallel (jobs={}) output differs from serial",

@@ -6,80 +6,54 @@
 //! ties except Binomial Options, where Parsimony reaches 0.71× of ispc
 //! because SLEEF's AVX-512 `pow` is 2.6× slower than ispc's built-in (§6).
 //!
-//! Usage:
-//!   cargo run --release -p psim-bench --bin fig4 `[-- --tiny] [--gang-sweep] [--profile[=json]] [-j N]`
-//!
-//! `-j N` / `--jobs N` sets the region-compilation worker count for every
-//! kernel build (default: `PSIM_JOBS` or the available parallelism);
-//! results are identical at every level, only compile time changes.
+//! Run `fig4 --help` for the flags. `-j N` / `--jobs N` sets the
+//! region-compilation worker count for every kernel build (default:
+//! `PSIM_JOBS` or the available parallelism); results are identical at
+//! every level, only compile time changes.
 
 use psim_bench::{
-    apply_engine_flag, apply_target_flag, cell, geomean_speedup, measure_iters, module_fingerprint,
-    parse_profile_flag, profile_kernel, total_wall_ms, ProfileMode,
+    cell, figure_flags, geomean_speedup, measure_iters, module_fingerprint, profile_kernel,
+    total_wall_ms, ProfileMode,
 };
 use suite::ispc::{kernels, IspcSizes};
 use suite::runner::{build_module, run_kernel, run_kernel_with, Config};
-use telemetry::cli::Help;
+use telemetry::cli::{Flag, Help, Meta};
 use telemetry::Profile;
 
 const HELP: Help = Help {
     bin: "fig4",
     about: "Reproduces Figure 4: Parsimony vs the gang-synchronous (ispc-like) comparator on \
             the 7 ispc benchmarks, normalized to auto-vectorized serial code.",
-    usage: "[options]",
     flags: &[
-        ("--tiny", "use the tiny workload sizes"),
-        ("--gang-sweep", "also run the gang-size sweep ablation"),
-        ("--iters N", "best-of-N wall-clock measurement (default: 1)"),
-        ("--profile[=json]", "print the cycle-attribution profile"),
-        (
-            "--engine E",
-            "interpreter engine: fast (default) or reference",
+        Flag::switch(&["--tiny"], "use the tiny workload sizes"),
+        Flag::switch(&["--gang-sweep"], "also run the gang-size sweep ablation"),
+        Flag::value(
+            &["--iters"],
+            "N",
+            "best-of-N wall-clock measurement (default: 1)",
         ),
-        (
-            "--target T",
+        Flag::optional(
+            &["--profile"],
+            Meta::OneOf(&["text", "json"]),
+            "print the cycle-attribution profile (default: text)",
+        ),
+        Flag::value(
+            &["--target"],
+            "T",
             "costing machine: x86-avx512 (default), x86-avx2, or sve-vla[:VL]",
         ),
-        (
-            "--target-matrix",
+        Flag::switch(
+            &["--target-matrix"],
             "add the target×config matrix table (all targets, same IR)",
         ),
-        (
-            "--contract",
+        Flag::switch(
+            &["--contract"],
             "print per-benchmark gang size and module fingerprint, then exit \
              (the target-contract gate diffs this across SVE vector lengths)",
         ),
-        ("-j, --jobs N", "region-compilation worker count"),
-        ("-h, --help", "print this help"),
-        (
-            "-V, --version",
-            "print version, protocol, and toolchain info",
-        ),
+        Flag::value(&["-j", "--jobs"], "N", "region-compilation worker count"),
     ],
 };
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: fig4 [--tiny] [--gang-sweep] [--iters N] [--profile[=json]] \
-         [--engine fast|reference] [--target x86-avx512|x86-avx2|sve-vla[:VL]] \
-         [--target-matrix] [--contract] [-j N | --jobs N]"
-    );
-    std::process::exit(2);
-}
-
-/// Applies `-j`: the kernel builders compile through default
-/// [`parsimony::PipelineOptions`], which honor `PSIM_JOBS`, so the flag is
-/// delivered through the environment before any compilation starts.
-fn set_jobs(tool: &str, v: Option<&String>) {
-    let Some(v) = v else { usage() };
-    match v.parse::<usize>() {
-        Ok(n) if n >= 1 => std::env::set_var(parsimony::JOBS_ENV_VAR, v),
-        _ => {
-            eprintln!("{tool}: --jobs takes a positive integer, got {v:?}");
-            usage();
-        }
-    }
-}
 
 fn main() {
     // Tool-quality failure reporting: anything that goes wrong below —
@@ -92,68 +66,15 @@ fn main() {
 }
 
 fn run() {
-    let args: Vec<String> = std::env::args().collect();
-    for a in args.iter().skip(1) {
-        HELP.intercept(a, env!("CARGO_PKG_VERSION"));
-    }
-    let mut sizes = IspcSizes::default();
-    let mut gang_sweep = false;
-    let mut profile_mode = ProfileMode::Off;
-    let mut iters = 1usize;
-    let mut with_target_matrix = false;
-    let mut contract = false;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--tiny" => sizes = IspcSizes::tiny(),
-            "--gang-sweep" => gang_sweep = true,
-            "--target-matrix" => with_target_matrix = true,
-            "--contract" => contract = true,
-            "--iters" => {
-                i += 1;
-                let Some(v) = args.get(i) else { usage() };
-                match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => iters = n,
-                    _ => {
-                        eprintln!("fig4: --iters takes a positive integer, got {v:?}");
-                        usage();
-                    }
-                }
-            }
-            "--engine" => {
-                i += 1;
-                if !apply_engine_flag("fig4", args.get(i)) {
-                    usage();
-                }
-            }
-            "--target" => {
-                i += 1;
-                if !apply_target_flag("fig4", args.get(i)) {
-                    usage();
-                }
-            }
-            t if t.starts_with("--target=") => {
-                let v = t["--target=".len()..].to_string();
-                if !apply_target_flag("fig4", Some(&v)) {
-                    usage();
-                }
-            }
-            "-j" | "--jobs" => {
-                i += 1;
-                set_jobs("fig4", args.get(i));
-            }
-            other => match parse_profile_flag(other) {
-                Some(m) => profile_mode = m,
-                None => {
-                    eprintln!("fig4: unknown flag {other}");
-                    usage();
-                }
-            },
-        }
-        i += 1;
-    }
+    let args = HELP.parse(env!("CARGO_PKG_VERSION"));
+    let (iters, profile_mode) = figure_flags(&args);
+    let sizes = if args.has("--tiny") {
+        IspcSizes::tiny()
+    } else {
+        IspcSizes::default()
+    };
 
-    if contract {
+    if args.has("--contract") {
         print_contract(sizes);
         return;
     }
@@ -234,11 +155,11 @@ fn run() {
         check_pow_gap(&profile);
     }
 
-    if with_target_matrix {
+    if args.has("--target-matrix") {
         target_matrix(sizes);
     }
 
-    if gang_sweep {
+    if args.has("--gang-sweep") {
         gang_size_sweep(sizes);
     }
 }

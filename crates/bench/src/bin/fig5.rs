@@ -6,76 +6,52 @@
 //! the simulated-cycle cost model, plus the shape-analysis ablation when
 //! requested.
 //!
-//! Usage:
-//!   cargo run --release -p psim-bench --bin fig5 `[-- --n N] [--no-shape] [--stride-window] [--target-matrix] [--profile[=json]] [-j N]`
-//!
-//! `-j N` / `--jobs N` sets the region-compilation worker count for every
-//! kernel build (default: `PSIM_JOBS` or the available parallelism);
-//! results are identical at every level, only compile time changes.
+//! Run `fig5 --help` for the flags. `-j N` / `--jobs N` sets the
+//! region-compilation worker count for every kernel build (default:
+//! `PSIM_JOBS` or the available parallelism); results are identical at
+//! every level, only compile time changes.
 
 use psim_bench::{
-    apply_engine_flag, apply_target_flag, cell, geomean_speedup, measure_iters, parse_profile_flag,
-    profile_kernels, total_wall_ms, ProfileMode,
+    cell, figure_flags, geomean_speedup, measure_iters, profile_kernels, total_wall_ms, ProfileMode,
 };
 use suite::runner::{run_kernel_with, Config};
 use suite::simdlib::{kernels, DEFAULT_N};
-use telemetry::cli::Help;
+use telemetry::cli::{positive_multiple_of, Flag, Help, Meta};
 use vmach::{Target, TargetCost};
 
 const HELP: Help = Help {
     bin: "fig5",
     about: "Reproduces Figure 5: speedup over scalar compilation on the 72 Simd Library \
             kernels (autovec, Parsimony, hand-written intrinsics).",
-    usage: "[options]",
     flags: &[
-        ("--n N", "element count (positive multiple of 256)"),
-        ("--iters N", "best-of-N wall-clock measurement (default: 1)"),
-        ("--no-shape", "add the shape-analysis ablation column"),
-        ("--stride-window", "add the strided-shuffle window ablation"),
-        ("--profile[=json]", "print the cycle-attribution profile"),
-        (
-            "--engine E",
-            "interpreter engine: fast (default) or reference",
+        Flag::value(&["--n"], "N", "element count (positive multiple of 256)"),
+        Flag::value(
+            &["--iters"],
+            "N",
+            "best-of-N wall-clock measurement (default: 1)",
         ),
-        (
-            "--target T",
+        Flag::switch(&["--no-shape"], "add the shape-analysis ablation column"),
+        Flag::switch(
+            &["--stride-window"],
+            "add the strided-shuffle window ablation",
+        ),
+        Flag::optional(
+            &["--profile"],
+            Meta::OneOf(&["text", "json"]),
+            "print the cycle-attribution profile (default: text)",
+        ),
+        Flag::value(
+            &["--target"],
+            "T",
             "costing machine: x86-avx512 (default), x86-avx2, or sve-vla[:VL]",
         ),
-        (
-            "--target-matrix",
+        Flag::switch(
+            &["--target-matrix"],
             "add the target×config matrix table (all targets, same IR)",
         ),
-        ("-j, --jobs N", "region-compilation worker count"),
-        ("-h, --help", "print this help"),
-        (
-            "-V, --version",
-            "print version, protocol, and toolchain info",
-        ),
+        Flag::value(&["-j", "--jobs"], "N", "region-compilation worker count"),
     ],
 };
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: fig5 [--n N] [--iters N] [--no-shape] [--stride-window] \
-         [--profile[=json]] [--engine fast|reference] \
-         [--target x86-avx512|x86-avx2|sve-vla[:VL]] [--target-matrix] [-j N | --jobs N]"
-    );
-    std::process::exit(2);
-}
-
-/// Applies `-j`: the kernel builders compile through default
-/// [`parsimony::PipelineOptions`], which honor `PSIM_JOBS`, so the flag is
-/// delivered through the environment before any compilation starts.
-fn set_jobs(tool: &str, v: Option<&String>) {
-    let Some(v) = v else { usage() };
-    match v.parse::<usize>() {
-        Ok(n) if n >= 1 => std::env::set_var(parsimony::JOBS_ENV_VAR, v),
-        _ => {
-            eprintln!("{tool}: --jobs takes a positive integer, got {v:?}");
-            usage();
-        }
-    }
-}
 
 fn main() {
     // As in fig4: failures become a one-line formatted error and a nonzero
@@ -87,80 +63,12 @@ fn main() {
 }
 
 fn run() {
-    let args: Vec<String> = std::env::args().collect();
-    for a in args.iter().skip(1) {
-        HELP.intercept(a, env!("CARGO_PKG_VERSION"));
-    }
-    let mut n = DEFAULT_N;
-    let mut with_noshape = false;
-    let mut iters = 1usize;
-    let mut with_window = false;
-    let mut with_target_matrix = false;
-    let mut profile_mode = ProfileMode::Off;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--n" => {
-                i += 1;
-                let Some(v) = args.get(i) else {
-                    eprintln!("fig5: --n takes an element count");
-                    usage();
-                };
-                n = v.parse().unwrap_or_else(|_| {
-                    eprintln!("fig5: --n takes an element count, got {v:?}");
-                    usage();
-                });
-                if n == 0 || !n.is_multiple_of(256) {
-                    eprintln!("fig5: --n must be a positive multiple of 256, got {n}");
-                    usage();
-                }
-            }
-            "--iters" => {
-                i += 1;
-                let Some(v) = args.get(i) else { usage() };
-                match v.parse::<usize>() {
-                    Ok(x) if x >= 1 => iters = x,
-                    _ => {
-                        eprintln!("fig5: --iters takes a positive integer, got {v:?}");
-                        usage();
-                    }
-                }
-            }
-            "--no-shape" => with_noshape = true,
-            "--stride-window" => with_window = true,
-            "--engine" => {
-                i += 1;
-                if !apply_engine_flag("fig5", args.get(i)) {
-                    usage();
-                }
-            }
-            "--target" => {
-                i += 1;
-                if !apply_target_flag("fig5", args.get(i)) {
-                    usage();
-                }
-            }
-            flag if flag.starts_with("--target=") => {
-                let v = flag["--target=".len()..].to_string();
-                if !apply_target_flag("fig5", Some(&v)) {
-                    usage();
-                }
-            }
-            "--target-matrix" => with_target_matrix = true,
-            "-j" | "--jobs" => {
-                i += 1;
-                set_jobs("fig5", args.get(i));
-            }
-            other => match parse_profile_flag(other) {
-                Some(m) => profile_mode = m,
-                None => {
-                    eprintln!("fig5: unknown flag {other}");
-                    usage();
-                }
-            },
-        }
-        i += 1;
-    }
+    let args = HELP.parse(env!("CARGO_PKG_VERSION"));
+    let (iters, profile_mode) = figure_flags(&args);
+    let n = args
+        .value("--n", positive_multiple_of(256))
+        .unwrap_or(DEFAULT_N);
+    let with_noshape = args.has("--no-shape");
 
     if profile_mode == ProfileMode::Json {
         let profile = profile_kernels(&kernels(n), &[Config::Parsimony]);
@@ -247,7 +155,7 @@ fn run() {
         print!("{}", profile.render_text());
     }
 
-    if with_window {
+    if args.has("--stride-window") {
         // §4.2.3 ablation: the strided-shuffle window (default 4× the gang
         // size). Window 0 forces gather/scatter on every non-unit stride;
         // the difference is the packed+shuffle payoff.
@@ -290,7 +198,7 @@ fn run() {
         }
     }
 
-    if with_target_matrix {
+    if args.has("--target-matrix") {
         // The target×config matrix: the *same* compiled IR priced on every
         // modeled machine, fixed-width and scalable — §4.3 portability, with
         // no recompilation of the SPMD program, only a different back-end

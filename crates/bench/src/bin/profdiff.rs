@@ -10,53 +10,41 @@
 //! profdiff before.json after.json --threshold 0.05
 //! ```
 //!
-//! Exit codes: 0 = within threshold, 1 = regression, 2 = usage/IO error.
+//! Exit codes: 0 = within threshold, 1 = regression or unreadable or
+//! malformed input, 2 = usage error.
 
 use psim_bench::profdiff;
+use telemetry::cli::{non_negative_finite, Flag, Help};
 
-fn usage() -> ! {
-    eprintln!("usage: profdiff BEFORE.json AFTER.json [--threshold FRACTION]");
-    std::process::exit(2);
-}
+const HELP: Help = Help {
+    bin: "profdiff",
+    about: "Compares two cycle-attribution profiles (fig4/fig5 --profile=json) and fails when \
+            the geomean cycle ratio over shared functions regresses past the threshold.",
+    flags: &[
+        Flag::positional(&["BEFORE.json"], "the baseline profile"),
+        Flag::positional(&["AFTER.json"], "the profile under test"),
+        Flag::value(
+            &["--threshold"],
+            "FRACTION",
+            "tolerated geomean regression, a finite number >= 0 (default: 0.05)",
+        ),
+    ],
+};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut files: Vec<String> = Vec::new();
-    let mut threshold = 0.05f64;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--threshold" => {
-                i += 1;
-                let Some(v) = args.get(i) else {
-                    eprintln!("profdiff: --threshold takes a fraction (e.g. 0.05)");
-                    usage();
-                };
-                threshold = v.parse().unwrap_or_else(|_| {
-                    eprintln!("profdiff: --threshold takes a fraction, got {v:?}");
-                    usage();
-                });
-            }
-            other if !other.starts_with('-') => files.push(other.to_string()),
-            other => {
-                eprintln!("profdiff: unknown flag {other}");
-                usage();
-            }
-        }
-        i += 1;
-    }
-    if files.len() != 2 {
-        usage();
-    }
-
-    let read = |path: &str| -> String {
+    let args = HELP.parse(env!("CARGO_PKG_VERSION"));
+    let threshold = args
+        .value("--threshold", non_negative_finite)
+        .unwrap_or(0.05);
+    let read = |name: &str| -> String {
+        let path = args.positional(name);
         std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("profdiff: cannot read {path}: {e}");
-            std::process::exit(2);
+            std::process::exit(1);
         })
     };
-    let before = read(&files[0]);
-    let after = read(&files[1]);
+    let before = read("BEFORE.json");
+    let after = read("AFTER.json");
 
     match profdiff(&before, &after, threshold) {
         Ok((table, regressed)) => {
@@ -68,7 +56,7 @@ fn main() {
         }
         Err(e) => {
             eprintln!("profdiff: {e}");
-            std::process::exit(2);
+            std::process::exit(1);
         }
     }
 }

@@ -1,9 +1,6 @@
 //! `psimcc` — a command-line driver for the PsimC → Parsimony toolchain.
 //!
-//! ```text
-//! psimcc FILE.psim [--emit scalar|vector] [--gang-sync] [--no-shape]
-//!        [--boscc] [--run ENTRY [ARG…]] [--cycles]
-//! ```
+//! Run `psimcc --help` for the flag list. What the flags do:
 //!
 //! * `--emit scalar` prints the front-end's IR (outlined regions + gang
 //!   loops); `--emit vector` (default) prints the module after the
@@ -30,8 +27,8 @@
 use parsimony::{
     vectorize_module_with, FaultInjector, PipelineOptions, VectorizeOptions, VerifyMode,
 };
-use psir::{Interp, Memory, RtVal};
-use telemetry::cli::Help;
+use psir::{Engine, Interp, Memory, RtVal};
+use telemetry::cli::{positive, Flag, Help};
 use vmach::{Target, TargetCost};
 use vmath::RuntimeExterns;
 
@@ -39,211 +36,82 @@ const HELP: Help = Help {
     bin: "psimcc",
     about: "Compiles PsimC through the Parsimony SPMD vectorizer; optionally runs the result \
             on the simulated AVX-512 machine.",
-    usage: "FILE [options] [--run ENTRY [ARG…]]",
     flags: &[
-        (
-            "--emit scalar|vector",
+        Flag::positional(&["FILE"], "the PsimC source file"),
+        Flag::choice(
+            &["--emit"],
+            &["scalar", "vector"],
             "print front-end IR or vectorized IR (default: vector)",
         ),
-        ("--gang-sync", "gang-synchronous (ispc-like) mode"),
-        ("--no-shape", "disable shape analysis"),
-        ("--boscc", "insert branch-on-superword-condition guards"),
-        (
-            "--remarks text|json",
+        Flag::switch(&["--gang-sync"], "gang-synchronous (ispc-like) mode"),
+        Flag::switch(&["--no-shape"], "disable shape analysis"),
+        Flag::switch(&["--boscc"], "insert branch-on-superword-condition guards"),
+        Flag::choice(
+            &["--remarks"],
+            &["text", "json"],
             "print structured optimization remarks",
         ),
-        (
-            "--verify off|fallback|strict",
+        Flag::choice(
+            &["--verify"],
+            &["off", "fallback", "strict"],
             "in-pipeline IR verification mode (default: fallback)",
         ),
-        (
-            "--inject-fault PASS:SITE",
+        Flag::value(
+            &["--inject-fault"],
+            "PASS:SITE",
             "deterministically inject a pipeline fault",
         ),
-        ("-j, --jobs N", "region-compilation worker count"),
-        (
-            "--run ENTRY [ARG…]",
+        Flag::value(&["-j", "--jobs"], "N", "region-compilation worker count"),
+        Flag::rest(
+            &["--run"],
+            "ENTRY [ARG…]",
             "execute ENTRY (ints, floats, or buf:N buffer args)",
         ),
-        (
-            "--engine E",
+        Flag::value(
+            &["--engine"],
+            "E",
             "interpreter engine for --run: fast (default) or reference",
         ),
-        (
-            "--target T",
+        Flag::value(
+            &["--target"],
+            "T",
             "machine for --run costing: x86-avx512 (default), x86-avx2, or sve-vla[:VL]",
         ),
-        ("--cycles", "print the simulated cycle count"),
-        ("-h, --help", "print this help"),
-        (
-            "-V, --version",
-            "print version, protocol, and toolchain info",
-        ),
+        Flag::switch(&["--cycles"], "print the simulated cycle count"),
     ],
 };
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: psimcc FILE [--emit scalar|vector] [--gang-sync] [--no-shape] \
-         [--boscc] [--remarks text|json] [--verify off|fallback|strict] \
-         [--inject-fault PASS:SITE] [-j N | --jobs N] \
-         [--engine fast|reference] [--target x86-avx512|x86-avx2|sve-vla[:VL]] \
-         [--run ENTRY [ARG…]] [--cycles]"
-    );
-    std::process::exit(2);
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    for a in &args {
-        HELP.intercept(a, env!("CARGO_PKG_VERSION"));
-    }
-    let mut file = None;
-    let mut emit = "vector".to_string();
-    let mut opts = VectorizeOptions::default();
-    let mut run: Option<(String, Vec<String>)> = None;
-    let mut engine = psir::Engine::default();
-    let mut show_cycles = false;
-    let mut remarks_mode: Option<String> = None;
+    let args = HELP.parse(env!("CARGO_PKG_VERSION"));
+    let mut opts = if args.has("--gang-sync") {
+        VectorizeOptions::gang_synchronous()
+    } else {
+        VectorizeOptions::default()
+    };
+    opts.enable_shape &= !args.has("--no-shape");
+    opts.boscc |= args.has("--boscc");
     let mut popts = PipelineOptions::default();
-
-    let parse_verify = |s: &str| {
-        VerifyMode::parse(s).unwrap_or_else(|| {
-            eprintln!("psimcc: invalid --verify mode `{s}` (expected off, fallback, or strict)");
-            std::process::exit(2);
-        })
-    };
-    let parse_inject = |s: &str| -> FaultInjector {
-        FaultInjector::parse(s).unwrap_or_else(|e| {
-            eprintln!("psimcc: {e}");
-            std::process::exit(2);
-        })
-    };
-    let parse_target = |s: &str| -> Target {
-        Target::parse(s).unwrap_or_else(|e| {
-            eprintln!("psimcc: {e}");
-            std::process::exit(2);
-        })
-    };
-    let parse_jobs = |s: &str| -> usize {
-        match s.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("psimcc: --jobs takes a positive integer, got {s:?}");
-                std::process::exit(2);
-            }
-        }
-    };
-
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--emit" => {
-                i += 1;
-                emit = args.get(i).cloned().unwrap_or_else(|| usage());
-            }
-            "--gang-sync" => opts = VectorizeOptions::gang_synchronous(),
-            "--no-shape" => opts.enable_shape = false,
-            "--boscc" => opts.boscc = true,
-            "--cycles" => show_cycles = true,
-            "--remarks" => {
-                i += 1;
-                let mode = args.get(i).cloned().unwrap_or_else(|| usage());
-                if mode != "text" && mode != "json" {
-                    usage();
-                }
-                remarks_mode = Some(mode);
-            }
-            flag if flag.starts_with("--remarks=") => {
-                let mode = &flag["--remarks=".len()..];
-                if mode != "text" && mode != "json" {
-                    usage();
-                }
-                remarks_mode = Some(mode.to_string());
-            }
-            "--verify" => {
-                i += 1;
-                let mode = args.get(i).cloned().unwrap_or_else(|| usage());
-                popts.verify = parse_verify(&mode);
-            }
-            flag if flag.starts_with("--verify=") => {
-                popts.verify = parse_verify(&flag["--verify=".len()..]);
-            }
-            "--inject-fault" => {
-                i += 1;
-                let spec = args.get(i).cloned().unwrap_or_else(|| usage());
-                popts.inject = Some(parse_inject(&spec));
-            }
-            flag if flag.starts_with("--inject-fault=") => {
-                popts.inject = Some(parse_inject(&flag["--inject-fault=".len()..]));
-            }
-            "--engine" => {
-                i += 1;
-                let v = args.get(i).cloned().unwrap_or_else(|| usage());
-                engine = psir::Engine::from_flag(&v).unwrap_or_else(|| {
-                    eprintln!(
-                        "psimcc: unknown engine {v:?}; valid engines: {}",
-                        psir::Engine::ALL.map(psir::Engine::flag_name).join(", ")
-                    );
-                    std::process::exit(2);
-                });
-            }
-            flag if flag.starts_with("--engine=") => {
-                let v = &flag["--engine=".len()..];
-                engine = psir::Engine::from_flag(v).unwrap_or_else(|| {
-                    eprintln!(
-                        "psimcc: unknown engine {v:?}; valid engines: {}",
-                        psir::Engine::ALL.map(psir::Engine::flag_name).join(", ")
-                    );
-                    std::process::exit(2);
-                });
-            }
-            "--target" => {
-                i += 1;
-                let v = args.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!(
-                        "psimcc: --target requires a value; valid targets: {}",
-                        vmach::VALID_TARGETS
-                    );
-                    std::process::exit(2);
-                });
-                popts.target = parse_target(&v);
-            }
-            flag if flag.starts_with("--target=") => {
-                popts.target = parse_target(&flag["--target=".len()..]);
-            }
-            "-j" | "--jobs" => {
-                i += 1;
-                let v = args.get(i).cloned().unwrap_or_else(|| usage());
-                popts.jobs = parse_jobs(&v);
-            }
-            flag if flag.starts_with("--jobs=") => {
-                popts.jobs = parse_jobs(&flag["--jobs=".len()..]);
-            }
-            "--run" => {
-                i += 1;
-                let entry = args.get(i).cloned().unwrap_or_else(|| usage());
-                let mut rest = Vec::new();
-                for a in &args[i + 1..] {
-                    if a == "--cycles" {
-                        show_cycles = true;
-                    } else {
-                        rest.push(a.clone());
-                    }
-                }
-                run = Some((entry, rest));
-                i = args.len();
-            }
-            other if file.is_none() && !other.starts_with('-') => {
-                file = Some(other.to_string());
-            }
-            _ => usage(),
-        }
-        i += 1;
+    if let Some(mode) = args.str("--verify").and_then(VerifyMode::parse) {
+        popts.verify = mode;
     }
-    let Some(file) = file else { usage() };
+    if let Some(inject) = args.value("--inject-fault", FaultInjector::parse) {
+        popts.inject = Some(inject);
+    }
+    if let Some(target) = args.value("--target", Target::parse) {
+        popts.target = target;
+    }
+    if let Some(jobs) = args.value("--jobs", positive) {
+        popts.jobs = jobs;
+    }
+    let engine = args
+        .value("--engine", Engine::from_flag)
+        .unwrap_or_default();
+    let show_cycles = args.has("--cycles");
+    let remarks_mode = args.str("--remarks");
+    let run = args.str("--run").map(|entry| (entry, args.rest()));
 
-    let src = std::fs::read_to_string(&file).unwrap_or_else(|e| {
+    let file = args.positional("FILE");
+    let src = std::fs::read_to_string(file).unwrap_or_else(|e| {
         eprintln!("psimcc: cannot read {file}: {e}");
         std::process::exit(1);
     });
@@ -252,7 +120,7 @@ fn main() {
         std::process::exit(1);
     });
 
-    if emit == "scalar" {
+    if args.str("--emit") == Some("scalar") {
         print!("{}", psir::print_module(&scalar));
         return;
     }
@@ -289,9 +157,11 @@ fn main() {
         let mut mem = Memory::default();
         let mut call_args = Vec::new();
         let mut bufs: Vec<(u64, u64)> = Vec::new();
-        for a in &raw_args {
+        for a in raw_args {
             if let Some(n) = a.strip_prefix("buf:") {
-                let n: u64 = n.parse().unwrap_or_else(|_| usage());
+                let n: u64 = n
+                    .parse()
+                    .unwrap_or_else(|_| args.fail(&format!("bad buffer size in {a:?}")));
                 let addr = mem.alloc(n, 64).expect("buffer fits");
                 bufs.push((addr, n));
                 call_args.push(RtVal::S(addr));
@@ -300,12 +170,14 @@ fn main() {
             } else if let Ok(v) = a.parse::<f32>() {
                 call_args.push(RtVal::from_f32(v));
             } else {
-                usage();
+                args.fail(&format!(
+                    "bad --run argument {a:?} (expected an int, a float, or buf:N)"
+                ));
             }
         }
         let mut it = Interp::new(&out.module, mem, &cost, &EXT);
         it.set_engine(engine);
-        match it.call(&entry, &call_args) {
+        match it.call(entry, &call_args) {
             Ok(RtVal::Unit) => {}
             Ok(RtVal::S(v)) => println!("=> {v} (as i64: {})", v as i64),
             Ok(RtVal::V(v)) => println!("=> {v:?}"),

@@ -13,22 +13,9 @@ use suite::runner::{
     build_module, geomean, run_kernel_profiled, run_module_engine, Config, RunResult,
 };
 use suite::Kernel;
-use telemetry::{Json, Profile, ProfileDiff};
+use telemetry::cli::{positive, Args};
+use telemetry::{Profile, ProfileDiff};
 use vmach::{Target, TargetCost};
-
-/// Reads a committed `BENCH_*.json` baseline and validates its
-/// self-describing `meta` block (schema version, producing tool) against
-/// this build — the shared front door of every `--baseline` gate flag.
-///
-/// # Errors
-/// Explains what failed to read, parse, or match; gates print this and
-/// exit 1 so stale baselines fail loudly.
-pub fn check_baseline(path: &str, tool: &str) -> Result<Json, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read: {e}"))?;
-    let json = Json::parse(&text).map_err(|e| format!("invalid JSON: {e}"))?;
-    telemetry::cli::check_bench_meta(&json, tool)?;
-    Ok(json)
-}
 
 /// One row of a speedup table.
 #[derive(Debug, Clone)]
@@ -95,11 +82,11 @@ pub fn measure_iters(kernels: &[Kernel], cfgs: &[Config], iters: usize) -> Vec<R
                 let cost = TargetCost::for_target(suite::runner::default_target());
                 let mut best = u64::MAX;
                 let mut got = 0u64;
-                let engine = suite::runner::default_engine();
                 for _ in 0..iters {
                     let t = std::time::Instant::now();
-                    let r: RunResult = run_module_engine(&module, k, &cost, false, engine)
-                        .unwrap_or_else(|e| panic!("{}: {e}", k.name));
+                    let r: RunResult =
+                        run_module_engine(&module, k, &cost, false, psir::Engine::default())
+                            .unwrap_or_else(|e| panic!("{}: {e}", k.name));
                     best = best.min(t.elapsed().as_nanos() as u64);
                     got = r.cycles;
                 }
@@ -144,66 +131,29 @@ pub enum ProfileMode {
     Json,
 }
 
-/// Parses a `--profile` / `--profile=json` flag; `None` if `arg` is not a
-/// profile flag at all.
-pub fn parse_profile_flag(arg: &str) -> Option<ProfileMode> {
-    match arg {
-        "--profile" | "--profile=text" => Some(ProfileMode::Text),
-        "--profile=json" => Some(ProfileMode::Json),
-        _ => None,
+/// Applies the flags both figure harnesses share and returns the
+/// best-of-N iteration count (`--iters`, default 1) and the profile mode
+/// (`--profile[=text|json]`).
+///
+/// `--target T` routes every default-cost kernel run through
+/// [`suite::runner::set_target_override`], so the whole process prices
+/// against the chosen machine. `-j N` reaches the kernel builders, which
+/// compile through default [`parsimony::PipelineOptions`], through the
+/// `PSIM_JOBS` environment variable, set here before any compilation
+/// starts.
+pub fn figure_flags(args: &Args) -> (usize, ProfileMode) {
+    if let Some(target) = args.value("--target", Target::parse) {
+        suite::runner::set_target_override(target);
     }
-}
-
-/// Parses and applies a figure harness's `--engine VALUE`: routes every
-/// default-engine kernel run through the chosen interpreter engine (the
-/// engines are result-identical by contract, so the figures are a
-/// cross-check, not a different experiment). Returns `false` — after
-/// printing the exit-2 diagnostic — on a missing or unknown value, so the
-/// caller can fall through to its usage line.
-pub fn apply_engine_flag(tool: &str, v: Option<&String>) -> bool {
-    let Some(v) = v else {
-        eprintln!("{tool}: --engine requires a value");
-        return false;
+    if let Some(jobs) = args.value("--jobs", positive::<usize>) {
+        std::env::set_var(parsimony::JOBS_ENV_VAR, jobs.to_string());
+    }
+    let profile = match args.optional("--profile") {
+        None => ProfileMode::Off,
+        Some(Some("json")) => ProfileMode::Json,
+        Some(_) => ProfileMode::Text,
     };
-    match psir::Engine::from_flag(v) {
-        Some(e) => {
-            suite::runner::set_engine_override(e);
-            true
-        }
-        None => {
-            eprintln!(
-                "{tool}: unknown engine {v:?}; valid engines: {}",
-                psir::Engine::ALL.map(psir::Engine::flag_name).join(", ")
-            );
-            false
-        }
-    }
-}
-
-/// Parses and applies a figure harness's `--target VALUE`: routes every
-/// default-cost kernel run through [`suite::runner::set_target_override`]
-/// so the whole process prices against the chosen machine. Returns
-/// `false` — after printing the exit-2 diagnostic naming the valid
-/// targets — on a missing or unknown value, so the caller can fall
-/// through to its usage line.
-pub fn apply_target_flag(tool: &str, v: Option<&String>) -> bool {
-    let Some(v) = v else {
-        eprintln!(
-            "{tool}: --target requires a value; valid targets: {}",
-            vmach::VALID_TARGETS
-        );
-        return false;
-    };
-    match Target::parse(v) {
-        Ok(t) => {
-            suite::runner::set_target_override(t);
-            true
-        }
-        Err(e) => {
-            eprintln!("{tool}: {e}");
-            false
-        }
-    }
+    (args.value("--iters", positive).unwrap_or(1), profile)
 }
 
 /// FNV-1a fingerprint of a module's printed text. The `target-contract`

@@ -1,17 +1,13 @@
 //! `psim-fuzz` — the shared fuzzing driver for local runs, corpus
 //! regeneration, and the CI `fuzz-smoke` gate.
 //!
-//! ```text
-//! psim-fuzz [--seeds N] [--seed-start K] [--jobs J] [--json[=PATH]]
-//!           [--out DIR] [--max-shrink-evals M] [--quiet]
-//! ```
-//!
 //! Each seed deterministically generates one SPMD program and runs it
 //! through the four-way differential oracle (SPMD reference, vectorized
 //! pipeline under both interpreter engines, forced scalar fallback) across
 //! a gang-size and thread-count sweep. On failure the integrated shrinker
 //! minimizes the program and a self-contained repro file is written under
-//! `--out` (default `fuzz-artifacts/`).
+//! `--out` (default `fuzz-artifacts/`). Run `psim-fuzz --help` for every
+//! flag.
 //!
 //! `PSIM_INJECT_FAULT=<pass>:<site>` is honored: the vectorizing
 //! configurations then run the fault-degraded pipeline, differentially
@@ -24,7 +20,7 @@ use psim_fuzz::shrink::{shrink, size};
 use psim_fuzz::{generate, write_repro};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use telemetry::cli::Help;
+use telemetry::cli::{non_negative, positive, Args, Flag, Help, Meta};
 use telemetry::Json;
 
 const HELP: Help = Help {
@@ -33,109 +29,59 @@ const HELP: Help = Help {
             deterministic SPMD program and checks the SPMD reference, both vectorized \
             engines, and the scalar fallback for byte-identical results. Honors \
             PSIM_INJECT_FAULT; failures are minimized and written as repro files.",
-    usage: "[options]",
     flags: &[
-        ("--seeds N", "number of seeds to run (default: 100)"),
-        ("--seed-start K", "first seed (default: 0)"),
-        (
-            "-j, --jobs J",
+        Flag::value(&["--seeds"], "N", "number of seeds to run (default: 100)"),
+        Flag::value(&["--seed-start"], "K", "first seed (default: 0)"),
+        Flag::value(
+            &["-j", "--jobs"],
+            "J",
             "worker threads (default: available parallelism)",
         ),
-        ("--json[=PATH]", "write a JSON report to stdout or PATH"),
-        (
-            "--out DIR",
+        Flag::optional(
+            &["--json"],
+            Meta::Name("PATH"),
+            "write a JSON report to stdout or PATH",
+        ),
+        Flag::value(
+            &["--out"],
+            "DIR",
             "repro output directory (default: fuzz-artifacts)",
         ),
-        (
-            "--max-shrink-evals M",
+        Flag::value(
+            &["--max-shrink-evals"],
+            "M",
             "shrinker evaluation budget (default: 300)",
         ),
-        ("-q, --quiet", "suppress progress output"),
-        ("-h, --help", "print this help"),
-        (
-            "-V, --version",
-            "print version, protocol, and toolchain info",
-        ),
+        Flag::switch(&["-q", "--quiet"], "suppress progress output"),
     ],
 };
 
-struct Args {
+struct Config {
     seeds: u64,
     seed_start: u64,
     jobs: usize,
-    json: Option<Option<String>>, // None = off, Some(None) = stdout
     out_dir: String,
     max_shrink_evals: u64,
     quiet: bool,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: psim-fuzz [--seeds N] [--seed-start K] [--jobs J] \
-         [--json[=PATH]] [--out DIR] [--max-shrink-evals M] [--quiet]\n\
-         \n\
-         Differentially fuzzes the vectorization pipeline: each seed\n\
-         generates a deterministic SPMD program and checks the SPMD\n\
-         reference, both vectorized engines, and the scalar fallback for\n\
-         byte-identical results. Honors PSIM_INJECT_FAULT.\n\
-         Failures are minimized and written as repro files under --out."
-    );
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        seeds: 100,
-        seed_start: 0,
-        jobs: std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1),
-        json: None,
-        out_dir: "fuzz-artifacts".into(),
-        max_shrink_evals: 300,
-        quiet: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        HELP.intercept(&a, env!("CARGO_PKG_VERSION"));
-        let mut need = |name: &str| -> String {
-            it.next().unwrap_or_else(|| {
-                eprintln!("psim-fuzz: {name} needs a value");
-                usage()
-            })
-        };
-        match a.as_str() {
-            "--seeds" => {
-                args.seeds = need("--seeds").parse().unwrap_or_else(|_| usage());
-            }
-            "--seed-start" => {
-                args.seed_start = need("--seed-start").parse().unwrap_or_else(|_| usage());
-            }
-            "--jobs" | "-j" => {
-                args.jobs = need("--jobs").parse().unwrap_or_else(|_| usage());
-                if args.jobs == 0 {
-                    usage();
-                }
-            }
-            "--json" => args.json = Some(None),
-            "--out" => args.out_dir = need("--out"),
-            "--max-shrink-evals" => {
-                args.max_shrink_evals = need("--max-shrink-evals")
-                    .parse()
-                    .unwrap_or_else(|_| usage());
-            }
-            "--quiet" | "-q" => args.quiet = true,
-            other => {
-                if let Some(path) = other.strip_prefix("--json=") {
-                    args.json = Some(Some(path.to_string()));
-                } else {
-                    eprintln!("psim-fuzz: unknown argument `{other}`");
-                    usage();
-                }
-            }
+impl Config {
+    fn from_args(args: &Args) -> Config {
+        Config {
+            seeds: args.value("--seeds", non_negative).unwrap_or(100),
+            seed_start: args.value("--seed-start", non_negative).unwrap_or(0),
+            jobs: args.value("--jobs", positive).unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(std::num::NonZeroUsize::get)
+                    .unwrap_or(1)
+            }),
+            out_dir: args.str("--out").unwrap_or("fuzz-artifacts").to_string(),
+            max_shrink_evals: args
+                .value("--max-shrink-evals", non_negative)
+                .unwrap_or(300),
+            quiet: args.has("--quiet"),
         }
     }
-    args
 }
 
 struct SeedOutcome {
@@ -151,7 +97,7 @@ struct FailureReport {
     shrunk_size: u64,
 }
 
-fn run_seed(seed: u64, args: &Args, opts: &OracleOptions) -> SeedOutcome {
+fn run_seed(seed: u64, args: &Config, opts: &OracleOptions) -> SeedOutcome {
     let program = generate(seed);
     let verdict = run_program(&program, opts);
     let Some(orig) = verdict.failure().cloned() else {
@@ -205,7 +151,8 @@ fn run_seed(seed: u64, args: &Args, opts: &OracleOptions) -> SeedOutcome {
 }
 
 fn main() {
-    let args = parse_args();
+    let cli = HELP.parse(env!("CARGO_PKG_VERSION"));
+    let args = Config::from_args(&cli);
     let opts = OracleOptions::default();
     if !args.quiet {
         if let Some(inj) = &opts.inject {
@@ -243,7 +190,7 @@ fn main() {
     let failed: Vec<&SeedOutcome> = outcomes.iter().filter(|o| o.failure.is_some()).collect();
     let passed = outcomes.len() - failed.len();
 
-    if let Some(dest) = &args.json {
+    if cli.has("--json") {
         let report = Json::obj(vec![
             ("tool", Json::Str("psim-fuzz".into())),
             ("seed_start", Json::u64(args.seed_start)),
@@ -283,15 +230,7 @@ fn main() {
                 ),
             ),
         ]);
-        match dest {
-            None => println!("{}", report.to_string_pretty()),
-            Some(path) => {
-                if let Err(e) = std::fs::write(path, report.to_string_pretty()) {
-                    eprintln!("psim-fuzz: cannot write {path}: {e}");
-                    std::process::exit(2);
-                }
-            }
-        }
+        cli.write_report(&report, "");
     }
 
     if !args.quiet {

@@ -331,13 +331,19 @@ impl Engine {
         }
     }
 
-    /// Parses a `--engine` flag value. Returns `None` for unknown names so
-    /// callers can apply the exit-2 usage contract.
-    pub fn from_flag(s: &str) -> Option<Engine> {
+    /// Parses a `--engine` flag value.
+    ///
+    /// # Errors
+    /// Names the valid engines, so CLIs can print the message as their
+    /// exit-2 diagnostic.
+    pub fn from_flag(s: &str) -> Result<Engine, String> {
         match s {
-            "fast" => Some(Engine::Fast),
-            "reference" | "ref" => Some(Engine::Reference),
-            _ => None,
+            "fast" => Ok(Engine::Fast),
+            "reference" | "ref" => Ok(Engine::Reference),
+            _ => Err(format!(
+                "unknown engine {s:?}; valid engines: {}",
+                Engine::ALL.map(Engine::flag_name).join(", ")
+            )),
         }
     }
 }

@@ -1,13 +1,6 @@
 //! `psim-serve` — the persistent compile-and-execute daemon.
 //!
-//! ```text
-//! psim-serve [--listen ADDR | --unix PATH] [--workers N] [--queue-cap N]
-//!            [--module-budget BYTES] [--plan-budget BYTES]
-//!            [--deadline-ms MS] [--max-steps N] [--max-mem-bytes BYTES]
-//!            [--max-source-bytes BYTES] [--max-frame-bytes BYTES]
-//!            [--idle-timeout-ms MS] [--frame-timeout-ms MS]
-//!            [--max-batch N]
-//! ```
+//! Run `psim-serve --help` for the flags and their defaults.
 //!
 //! Requests may carry their own `deadline_ms` / `max_steps` /
 //! `max_mem_bytes`, which tighten the server limits but never exceed
@@ -23,189 +16,125 @@
 //! 1 runtime failure (bind error), 2 usage error.
 
 use psim_serve::{serve_tcp, serve_unix, ChaosSpec, ServeOptions};
-use telemetry::cli::Help;
+use telemetry::cli::{non_negative, positive, Flag, Help};
 
 const HELP: Help = Help {
     bin: "psim-serve",
     about: "Persistent compile-and-execute daemon: accepts PsimC sources over a line-delimited \
             JSON socket protocol, compiles through the Parsimony pipeline with content-addressed \
             module/plan caches shared across sessions, and executes on the fast engine.",
-    usage: "[options]",
     flags: &[
-        (
-            "--listen ADDR",
+        Flag::value(
+            &["--listen"],
+            "ADDR",
             "TCP listen address (default: 127.0.0.1:7878; port 0 = ephemeral)",
         ),
-        (
-            "--unix PATH",
+        Flag::value(
+            &["--unix"],
+            "PATH",
             "serve a Unix-domain socket at PATH instead of TCP",
         ),
-        (
-            "--workers N",
+        Flag::value(
+            &["--workers"],
+            "N",
             "executor pool size (default: available parallelism)",
         ),
-        (
-            "--queue-cap N",
+        Flag::value(
+            &["--queue-cap"],
+            "N",
             "max pending requests before `overloaded` replies (default: 64)",
         ),
-        (
-            "--module-budget BYTES",
+        Flag::value(
+            &["--module-budget"],
+            "BYTES",
             "module-cache byte budget (default: 67108864)",
         ),
-        (
-            "--plan-budget BYTES",
+        Flag::value(
+            &["--plan-budget"],
+            "BYTES",
             "plan-cache byte budget (default: 67108864)",
         ),
-        (
-            "--deadline-ms MS",
+        Flag::value(
+            &["--deadline-ms"],
+            "MS",
             "default per-request deadline in ms (default: 0 = none)",
         ),
-        (
-            "--max-steps N",
-            "per-request dynamic-step budget (default: 33554432)",
+        Flag::value(
+            &["--max-steps"],
+            "N",
+            "per-request dynamic-step budget (default: 4000000000)",
         ),
-        (
-            "--max-mem-bytes BYTES",
+        Flag::value(
+            &["--max-mem-bytes"],
+            "BYTES",
             "per-request allocation budget (default: 67108864)",
         ),
-        (
-            "--max-source-bytes BYTES",
+        Flag::value(
+            &["--max-source-bytes"],
+            "BYTES",
             "request source size cap (default: 1048576)",
         ),
-        (
-            "--max-frame-bytes BYTES",
+        Flag::value(
+            &["--max-frame-bytes"],
+            "BYTES",
             "wire frame (request line) cap (default: 8388608)",
         ),
-        (
-            "--idle-timeout-ms MS",
+        Flag::value(
+            &["--idle-timeout-ms"],
+            "MS",
             "reap connections idle this long (default: 300000; 0 = never)",
         ),
-        (
-            "--frame-timeout-ms MS",
+        Flag::value(
+            &["--frame-timeout-ms"],
+            "MS",
             "close connections whose frame trickles longer than this (default: 30000; 0 = never)",
         ),
-        (
-            "--max-batch N",
+        Flag::value(
+            &["--max-batch"],
+            "N",
             "most identical-plan runs one batch may hold (default: 16; 1 = run each alone)",
-        ),
-        ("-h, --help", "print this help"),
-        (
-            "-V, --version",
-            "print version, protocol, and toolchain info",
         ),
     ],
 };
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: psim-serve [--listen ADDR | --unix PATH] [--workers N] [--queue-cap N] \
-         [--module-budget BYTES] [--plan-budget BYTES] [--deadline-ms MS] [--max-steps N] \
-         [--max-mem-bytes BYTES] [--max-source-bytes BYTES] [--max-frame-bytes BYTES] \
-         [--idle-timeout-ms MS] [--frame-timeout-ms MS] [--max-batch N]"
-    );
-    std::process::exit(2);
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    for a in &args {
-        HELP.intercept(a, env!("CARGO_PKG_VERSION"));
-    }
-    let mut listen = "127.0.0.1:7878".to_string();
-    let mut unix: Option<String> = None;
+    let args = HELP.parse(env!("CARGO_PKG_VERSION"));
     let mut opts = ServeOptions::default();
-
-    let parse_num = |v: Option<&String>, what: &str| -> usize {
-        let Some(v) = v else { usage() };
-        match v.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("psim-serve: {what} takes a positive integer, got {v:?}");
-                usage();
-            }
+    // Sizing flags and the step/size budgets take a positive integer; the
+    // time limits accept 0 ("none"/"never").
+    let sizes = [
+        ("--workers", &mut opts.workers),
+        ("--queue-cap", &mut opts.queue_cap),
+        ("--module-budget", &mut opts.module_budget),
+        ("--plan-budget", &mut opts.plan_budget),
+        ("--max-batch", &mut opts.max_batch),
+    ];
+    for (flag, field) in sizes {
+        if let Some(v) = args.value(flag, positive) {
+            *field = v;
         }
-    };
-
-    // Limit flags accept 0 ("unlimited"/"none") where the limit is
-    // optional, unlike the sizing flags above which require >= 1.
-    let parse_u64 = |v: Option<&String>, what: &str| -> u64 {
-        let Some(v) = v else { usage() };
-        match v.parse::<u64>() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!("psim-serve: {what} takes a non-negative integer, got {v:?}");
-                usage();
-            }
+    }
+    let limits = &mut opts.limits;
+    let budgets = [
+        ("--max-steps", &mut limits.max_steps),
+        ("--max-mem-bytes", &mut limits.max_mem_bytes),
+        ("--max-source-bytes", &mut limits.max_source_bytes),
+        ("--max-frame-bytes", &mut limits.max_frame_bytes),
+    ];
+    for (flag, field) in budgets {
+        if let Some(v) = args.value(flag, positive) {
+            *field = v;
         }
-    };
-
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--listen" => {
-                i += 1;
-                let Some(v) = args.get(i) else { usage() };
-                listen.clone_from(v);
-            }
-            "--unix" => {
-                i += 1;
-                let Some(v) = args.get(i) else { usage() };
-                unix = Some(v.clone());
-            }
-            "--workers" => {
-                i += 1;
-                opts.workers = parse_num(args.get(i), "--workers");
-            }
-            "--queue-cap" => {
-                i += 1;
-                opts.queue_cap = parse_num(args.get(i), "--queue-cap");
-            }
-            "--module-budget" => {
-                i += 1;
-                opts.module_budget = parse_num(args.get(i), "--module-budget");
-            }
-            "--plan-budget" => {
-                i += 1;
-                opts.plan_budget = parse_num(args.get(i), "--plan-budget");
-            }
-            "--deadline-ms" => {
-                i += 1;
-                opts.limits.deadline_ms = parse_u64(args.get(i), "--deadline-ms");
-            }
-            "--max-steps" => {
-                i += 1;
-                opts.limits.max_steps = parse_num(args.get(i), "--max-steps") as u64;
-            }
-            "--max-mem-bytes" => {
-                i += 1;
-                opts.limits.max_mem_bytes = parse_num(args.get(i), "--max-mem-bytes") as u64;
-            }
-            "--max-source-bytes" => {
-                i += 1;
-                opts.limits.max_source_bytes = parse_num(args.get(i), "--max-source-bytes") as u64;
-            }
-            "--max-frame-bytes" => {
-                i += 1;
-                opts.limits.max_frame_bytes = parse_num(args.get(i), "--max-frame-bytes") as u64;
-            }
-            "--idle-timeout-ms" => {
-                i += 1;
-                opts.limits.idle_timeout_ms = parse_u64(args.get(i), "--idle-timeout-ms");
-            }
-            "--frame-timeout-ms" => {
-                i += 1;
-                opts.limits.frame_timeout_ms = parse_u64(args.get(i), "--frame-timeout-ms");
-            }
-            "--max-batch" => {
-                i += 1;
-                opts.max_batch = parse_num(args.get(i), "--max-batch");
-            }
-            other => {
-                eprintln!("psim-serve: unknown flag {other}");
-                usage();
-            }
+    }
+    let timeouts = [
+        ("--deadline-ms", &mut limits.deadline_ms),
+        ("--idle-timeout-ms", &mut limits.idle_timeout_ms),
+        ("--frame-timeout-ms", &mut limits.frame_timeout_ms),
+    ];
+    for (flag, field) in timeouts {
+        if let Some(v) = args.value(flag, non_negative) {
+            *field = v;
         }
-        i += 1;
     }
 
     match ChaosSpec::from_env() {
@@ -220,9 +149,9 @@ fn main() {
         }
     }
 
-    let handle = match &unix {
+    let handle = match args.str("--unix") {
         Some(path) => serve_unix(path, &opts),
-        None => serve_tcp(&listen, &opts),
+        None => serve_tcp(args.str("--listen").unwrap_or("127.0.0.1:7878"), &opts),
     };
     match handle {
         Ok(h) => {

@@ -376,7 +376,7 @@ impl Request {
                 let engine = match j.get("engine").and_then(Json::as_str) {
                     None => Engine::Fast,
                     Some(s) => {
-                        Engine::from_flag(s).ok_or_else(|| format!("run: bad engine {s:?}"))?
+                        Engine::from_flag(s).map_err(|_| format!("run: bad engine {s:?}"))?
                     }
                 };
                 let target = match j.get("target").and_then(Json::as_str) {

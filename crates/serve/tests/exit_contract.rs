@@ -29,6 +29,8 @@ const TOOLS: &[&str] = &[
     "fig4",
     "fig5",
     "runbench",
+    "compbench",
+    "profdiff",
     "psim-fuzz",
     "psim-serve",
     "servebench",
@@ -36,7 +38,7 @@ const TOOLS: &[&str] = &[
 
 /// Tools that take `--engine`: an unknown value is a usage error (exit
 /// 2) naming the valid engines, and `--help` documents the flag.
-const ENGINE_TOOLS: &[&str] = &["psimcc", "fig4", "fig5", "servebench"];
+const ENGINE_TOOLS: &[&str] = &["psimcc", "servebench"];
 
 /// Tools that take `--target`: an unknown value (or a missing one) is a
 /// usage error (exit 2) naming the valid targets, and `--help` documents
@@ -144,12 +146,16 @@ fn unknown_engine_values_exit_two_and_help_names_the_engines() {
 
 #[test]
 fn flags_outside_the_contract_exit_two() {
-    // runbench always times fast against reference, and fig5 prints its
-    // per-target table under --target-matrix: none of these is a flag.
+    // runbench always times fast against reference, fig5 prints its
+    // per-target table under --target-matrix, and the figures run on the
+    // default engine (engine identity is gated by runbench --check):
+    // none of these is a flag.
     let cases: &[(&str, &[&str])] = &[
         ("runbench", &["--engine", "fast"]),
         ("runbench", &["--min-speedup", "1.2"]),
         ("fig5", &["--avx2"]),
+        ("fig4", &["--engine", "fast"]),
+        ("fig5", &["--engine=reference"]),
     ];
     for (tool, args) in cases {
         let Some(path) = bin(tool) else {
@@ -252,6 +258,201 @@ fn bad_batch_flag_values_exit_two_and_help_documents_the_flags() {
     };
     assert!(help("psim-serve").contains("--max-batch"));
     assert!(!help("psim-serve").contains(window) && !help("servebench").contains(window));
+}
+
+#[test]
+fn choice_flags_reject_unknown_values_and_list_the_choices() {
+    let cases: &[(&str, &[&str], &[&str])] = &[
+        (
+            "psimcc",
+            &["k.psim", "--emit", "garbage"],
+            &["scalar", "vector"],
+        ),
+        (
+            "psimcc",
+            &["k.psim", "--remarks", "yaml"],
+            &["text", "json"],
+        ),
+        (
+            "psimcc",
+            &["k.psim", "--verify=loose"],
+            &["off", "fallback", "strict"],
+        ),
+        ("fig4", &["--profile=yaml"], &["text", "json"]),
+        ("fig5", &["--profile=yaml"], &["text", "json"]),
+    ];
+    for (tool, args, choices) in cases {
+        let Some(path) = bin(tool) else {
+            eprintln!("exit_contract: {tool} not built in this invocation, skipping");
+            continue;
+        };
+        let out = Command::new(&path).args(*args).output().expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{tool} {args:?} must be a usage error (stderr: {stderr})"
+        );
+        assert!(
+            choices.iter().all(|c| stderr.contains(c)) && stderr.contains("usage:"),
+            "{tool} {args:?} must list the valid choices and the usage line: {stderr:?}"
+        );
+    }
+}
+
+/// Every `(default: N)` that `psim-serve --help` shows is the value the
+/// daemon really starts with.
+#[test]
+fn psim_serve_help_defaults_match_the_real_defaults() {
+    let opts = psim_serve::ServeOptions::default();
+    let l = &opts.limits;
+    let expected: &[(&str, u64)] = &[
+        ("--queue-cap", opts.queue_cap as u64),
+        ("--module-budget", opts.module_budget as u64),
+        ("--plan-budget", opts.plan_budget as u64),
+        ("--deadline-ms", l.deadline_ms),
+        ("--max-steps", l.max_steps),
+        ("--max-mem-bytes", l.max_mem_bytes),
+        ("--max-source-bytes", l.max_source_bytes),
+        ("--max-frame-bytes", l.max_frame_bytes),
+        ("--idle-timeout-ms", l.idle_timeout_ms),
+        ("--frame-timeout-ms", l.frame_timeout_ms),
+        ("--max-batch", opts.max_batch as u64),
+    ];
+    let out = Command::new(bin("psim-serve").expect("same-crate binary"))
+        .arg("--help")
+        .output()
+        .expect("run");
+    let help = String::from_utf8_lossy(&out.stdout);
+    let mut shown = Vec::new();
+    for line in help.lines() {
+        let Some((_, tail)) = line.split_once("(default: ") else {
+            continue;
+        };
+        // A number ends at `)`, `;` or a space (`0 = none`); an address
+        // like `127.0.0.1:7878` is not a number.
+        let digits: String = tail.chars().take_while(char::is_ascii_digit).collect();
+        let (Ok(value), Some(')' | ';' | ' ')) =
+            (digits.parse::<u64>(), tail[digits.len()..].chars().next())
+        else {
+            continue;
+        };
+        let flag = line.split_whitespace().next().expect("flag column");
+        let real = expected
+            .iter()
+            .find(|(f, _)| *f == flag)
+            .unwrap_or_else(|| panic!("{flag} shows a default this test does not check"));
+        assert_eq!(value, real.1, "psim-serve --help default of {flag}");
+        shown.push(flag);
+    }
+    for (flag, _) in expected {
+        assert!(
+            shown.contains(flag),
+            "psim-serve --help shows no default for {flag}"
+        );
+    }
+}
+
+#[test]
+fn profdiff_rejects_non_finite_thresholds_and_fails_bad_input_with_one() {
+    let Some(path) = bin("profdiff") else {
+        eprintln!("exit_contract: profdiff not built in this invocation, skipping");
+        return;
+    };
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("exit_contract_profdiff");
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let mut profile = telemetry::Profile::new();
+    profile
+        .functions
+        .insert("k/x86-avx512/parsimony/main".into(), Default::default());
+    let good = dir.join("good.json");
+    std::fs::write(&good, profile.to_json().to_string_pretty()).expect("write");
+    let bad = dir.join("bad.json");
+    std::fs::write(&bad, "{not json").expect("write");
+    let missing = dir.join("missing.json");
+    let run = |args: &[&std::ffi::OsStr]| {
+        let out = Command::new(&path).args(args).output().expect("run");
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    let (g, b, m) = (good.as_os_str(), bad.as_os_str(), missing.as_os_str());
+    assert_eq!(run(&[g, g]).0, Some(0), "self-diff passes");
+    assert_eq!(run(&[g, g, "--threshold=0".as_ref()]).0, Some(0));
+    // A NaN or infinite threshold would make `ratio > 1 + threshold`
+    // always false: the gate could never fail.
+    for t in ["NaN", "inf", "-0.1", "x"] {
+        let (code, stderr) = run(&[g, g, "--threshold".as_ref(), t.as_ref()]);
+        assert_eq!(code, Some(2), "--threshold {t}: {stderr}");
+    }
+    for (args, what) in [
+        ([g, m], "unreadable"),
+        ([b, g], "malformed"),
+        ([g, b], "malformed"),
+    ] {
+        let (code, stderr) = run(&args);
+        assert_eq!(code, Some(1), "{what} input is a runtime failure: {stderr}");
+    }
+    assert_eq!(
+        run(&[g]).0,
+        Some(2),
+        "a missing positional is a usage error"
+    );
+}
+
+/// The `--baseline` gate compares the baseline's field names with the
+/// fresh report's: the committed servebench baseline with the fields of
+/// the old batch-window report added back must fail, naming exactly those
+/// fields (so the committed file otherwise has this build's shape).
+#[test]
+fn servebench_baseline_in_an_old_report_shape_fails_the_gate() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let text = std::fs::read_to_string(root.join("BENCH_servebench.json")).expect("baseline");
+    let mut json = telemetry::Json::parse(&text).expect("valid JSON");
+    let telemetry::Json::Obj(top) = &mut json else {
+        panic!("report is an object");
+    };
+    for (key, value) in top.iter_mut() {
+        if let (k @ ("meta" | "plan_share"), telemetry::Json::Obj(fields)) = (key.as_str(), value) {
+            let old = if k == "meta" {
+                "batch_window_ms"
+            } else {
+                "window_ms"
+            };
+            fields.push((old.to_string(), telemetry::Json::u64(2)));
+        }
+    }
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("exit_contract_baseline");
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let stale = dir.join("BENCH_servebench_old_shape.json");
+    std::fs::write(&stale, json.to_string_pretty()).expect("write");
+    let out = Command::new(bin("servebench").expect("same-crate binary"))
+        .args([
+            "--n",
+            "256",
+            "--clients",
+            "2",
+            "--hot-iters",
+            "1",
+            "--baseline",
+        ])
+        .arg(&stale)
+        .output()
+        .expect("run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stale shape fails: {stderr}");
+    assert!(stderr.contains("schema ok"), "meta still matches: {stderr}");
+    let named: Vec<&str> = stderr
+        .lines()
+        .filter_map(|l| l.trim().strip_prefix("not in this build's report: "))
+        .collect();
+    assert_eq!(
+        named,
+        ["meta.batch_window_ms", "plan_share.window_ms"],
+        "{stderr}"
+    );
+    assert!(!stderr.contains("missing from baseline"), "{stderr}");
 }
 
 #[test]

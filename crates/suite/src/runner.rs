@@ -197,26 +197,8 @@ fn run_module(module: &Module, k: &Kernel, cost: &TargetCost) -> Result<RunResul
     run_module_inner(module, k, cost, false)
 }
 
-/// Process-wide engine override for the figure harnesses' `--engine` flag:
-/// every [`run_kernel`]-family entry point executes under this engine
-/// instead of [`Engine::default`]. First set wins (the CLIs set it once,
-/// right after argument parsing); the explicit-engine entry points like
-/// [`run_module_engine`] are unaffected.
-static ENGINE_OVERRIDE: std::sync::OnceLock<Engine> = std::sync::OnceLock::new();
-
-/// Overrides the engine used by the default-engine entry points. Returns
-/// `false` if an override was already set to a *different* engine.
-pub fn set_engine_override(engine: Engine) -> bool {
-    *ENGINE_OVERRIDE.get_or_init(|| engine) == engine
-}
-
-/// The engine the default-engine entry points run under.
-pub fn default_engine() -> Engine {
-    ENGINE_OVERRIDE.get().copied().unwrap_or_default()
-}
-
-/// Process-wide target override for the harnesses' `--target` flag,
-/// mirroring [`set_engine_override`]: every default-cost entry point
+/// Process-wide target override for the harnesses' `--target` flag:
+/// every default-cost entry point
 /// ([`run_kernel`], [`run_kernel_profiled`], [`run_kernel_custom`]) prices
 /// against this machine instead of [`Target::reference_default`]. First
 /// set wins; entry points taking an explicit [`TargetCost`]
@@ -246,7 +228,7 @@ fn run_module_inner(
     cost: &TargetCost,
     profiled: bool,
 ) -> Result<RunResult, String> {
-    run_module_engine(module, k, cost, profiled, default_engine())
+    run_module_engine(module, k, cost, profiled, Engine::default())
 }
 
 /// Runs an already-built module over `k`'s workload with an explicit
